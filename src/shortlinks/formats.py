@@ -111,14 +111,6 @@ def serialize_graph(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def relabel_contiguous(G: Graph):
-    """Copy of ``G`` on vertices 1..n plus the id mapping used."""
-    mapping = {v: i + 1 for i, v in enumerate(G.vertices)}
-    relabeled = Graph(mapping.values(),
-                      ((mapping[u], mapping[v]) for u, v in G.edges))
-    return relabeled, mapping
-
-
 def parse_quadrillage(text: str) -> Quadrillage:
     """Parse the 'quad <num_vertices>' format: one cyclic 4-tuple per line."""
     n, rows = _header(_content_lines(text), "quad")
@@ -144,12 +136,3 @@ def serialize_quadrillage(Q: Quadrillage) -> str:
         lines.append(" ".join(str(v) for v in face))
     return "\n".join(lines) + "\n"
 
-
-def parse_any(text: str):
-    """Parse according to the detected format keyword."""
-    keyword = detect_format(text)
-    if keyword == "simplicial":
-        return parse_complex(text)
-    if keyword == "graph":
-        return parse_graph(text)
-    return parse_quadrillage(text)

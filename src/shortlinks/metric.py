@@ -180,24 +180,6 @@ def hypercube_graph(dim: int) -> Graph:
     return Graph(range(1, n + 1), edges)
 
 
-_GRAPH_KINDS = {
-    "complete": complete_graph,
-    "complete_minus_matching": complete_minus_matching,
-    "complete_minus_cycle": complete_minus_cycle,
-    "cycle": cycle_graph,
-    "hypercube": hypercube_graph,
-}
-
-
-def make_graph(kind: str, **params) -> Graph:
-    """Dispatch to the named constructor (see ``_GRAPH_KINDS`` keys)."""
-    try:
-        ctor = _GRAPH_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown graph kind {kind!r}") from None
-    return ctor(**params)
-
-
 def is_isometric_cycle(G: Graph, cycle) -> bool:
     """Is the cycle's own metric equal to the graph metric on its vertices?"""
     cyc = list(cycle)

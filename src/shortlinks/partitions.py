@@ -13,99 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
-from .simplicial import SimplicialComplex, characteristic_partition, complex_type, \
-    is_closed_pseudomanifold
-
-
-class Partition:
-    """An ordered partition of a finite set of positive integers.
-
-    Parts are stored in canonical order (by size, then smallest element).
-    Equality and hashing are on the canonical form.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts) -> None:
-        norm = []
-        seen = set()
-        for p in parts:
-            fp = frozenset(p)
-            if not fp:
-                raise ValueError("empty part in partition")
-            if any(not isinstance(v, int) or v < 1 for v in fp):
-                raise ValueError(f"partition elements must be positive integers: {sorted(fp)}")
-            if seen & fp:
-                raise ValueError(f"parts are not disjoint: {sorted(seen & fp)} repeated")
-            seen |= fp
-            norm.append(fp)
-        if not norm:
-            raise ValueError("partition needs at least one part")
-        norm.sort(key=lambda p: (len(p), min(p)))
-        object.__setattr__(self, "parts", tuple(norm))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    @property
-    def ground_set(self) -> frozenset:
-        return frozenset().union(*self.parts)
-
-    @property
-    def m(self) -> int:
-        """Number of elements partitioned (n+1 for a dimension-n complex)."""
-        return len(self.ground_set)
-
-    @property
-    def t(self) -> int:
-        """Number of parts."""
-        return len(self.parts)
-
-    @property
-    def sizes(self) -> tuple:
-        """Sorted part sizes."""
-        return tuple(len(p) for p in self.parts)
-
-    @property
-    def h(self) -> int:
-        """Number of singleton parts."""
-        return sum(1 for p in self.parts if len(p) == 1)
-
-    def size_counts(self) -> Counter:
-        """m_u: how many parts have size u."""
-        return Counter(len(p) for p in self.parts)
-
-    def covers_range(self) -> bool:
-        """True when the ground set is exactly {1..m}."""
-        return self.ground_set == frozenset(range(1, self.m + 1))
-
-    @classmethod
-    def from_spec(cls, text: str) -> "Partition":
-        """Parse the CLI syntax, e.g. ``"1,2|3,4,5"``."""
-        parts = []
-        for chunk in text.split("|"):
-            items = [s.strip() for s in chunk.split(",")]
-            if any(not s.isdigit() or int(s) < 1 for s in items):
-                raise ValueError(f"bad partition spec {text!r}")
-            parts.append([int(s) for s in items])
-        return cls(parts)
-
-    def to_spec(self) -> str:
-        return "|".join(",".join(str(v) for v in sorted(p)) for p in self.parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({self.to_spec()!r})"
+from .simplicial import (Partition, SimplicialComplex, characteristic_partition,
+                         complex_type, is_closed_pseudomanifold)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,19 @@
 A complex is determined by its set of facets (maximal faces, all of
 cardinality n+1); lower-dimensional faces are enumerated on demand.  The
 central notion is the link of an (n-2)-face: the cycles formed by the
-edges that complete it to a facet.  Complexes whose links all have length
-3 or 4 are classified elsewhere (see :mod:`shortlinks.partitions`).
+edges that complete it to a facet.  Every link is read from one index of
+the (n-2)-faces.  A complex whose links all have length 3 or 4 induces a
+partition of each facet's vertices (its characteristic partition); the
+complexes themselves are classified in :mod:`shortlinks.partitions`.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+
+from .metric import Graph
 
 Face = frozenset  # a face is a frozenset of positive integer vertex ids
 
@@ -34,10 +38,13 @@ class SimplicialComplex:
 
     Facets are deduplicated frozensets of vertex ids, each of cardinality
     ``dim + 1``; the vertex set is their union.  Instances are immutable
-    and hashable; derived data (faces, ridge incidences) is cached.
+    and hashable.  Cached on first use: the ridge incidences
+    (:meth:`ridge_facets`), the (n-2)-face index (:meth:`face_facets`),
+    and the link of each (n-2)-face asked for through :func:`link_of_face`.
+    Both incidence maps hold the facet frozensets themselves, not copies.
     """
 
-    __slots__ = ("dim", "facets", "_faces", "_ridge_facets")
+    __slots__ = ("dim", "facets", "_ridge_facets", "_face_facets", "_links")
 
     def __init__(self, dim: int, facets) -> None:
         if dim < 1:
@@ -51,8 +58,9 @@ class SimplicialComplex:
                     f"facet {sorted(f)} has {len(f)} vertices, expected {dim + 1}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "facets", fset)
-        object.__setattr__(self, "_faces", {})
         object.__setattr__(self, "_ridge_facets", None)
+        object.__setattr__(self, "_face_facets", None)
+        object.__setattr__(self, "_links", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -95,6 +103,20 @@ class SimplicialComplex:
             object.__setattr__(self, "_ridge_facets", dict(inc))
         return self._ridge_facets
 
+    def face_facets(self) -> dict:
+        """Map each (n-2)-face to the list of facets containing it.
+
+        For ``dim == 1`` the only (n-2)-face is the empty face, which every
+        facet contains.
+        """
+        if self._face_facets is None:
+            inc = defaultdict(list)
+            for f in self.facets:
+                for pair in itertools.combinations(f, 2):
+                    inc[f.difference(pair)].append(f)
+            object.__setattr__(self, "_face_facets", dict(inc))
+        return self._face_facets
+
 
 @dataclass(frozen=True)
 class ClosednessReport:
@@ -133,14 +155,8 @@ def faces_of_dim(K: SimplicialComplex, k: int) -> set:
     """All k-dimensional faces of ``K`` (the (k+1)-subsets of its facets)."""
     if not 0 <= k <= K.dim:
         raise ValueError(f"face dimension {k} out of range [0, {K.dim}]")
-    cached = K._faces.get(k)
-    if cached is None:
-        cached = set()
-        for f in K.facets:
-            for comb in itertools.combinations(sorted(f), k + 1):
-                cached.add(frozenset(comb))
-        K._faces[k] = cached
-    return set(cached)
+    return {frozenset(comb) for f in K.facets
+            for comb in itertools.combinations(f, k + 1)}
 
 
 def is_closed_pseudomanifold(K: SimplicialComplex) -> ClosednessReport:
@@ -191,35 +207,38 @@ def link_of_face(K: SimplicialComplex, F) -> LinkReport:
 
     Each facet containing ``F`` contributes the unique edge that extends
     ``F`` to it.  For ``dim == 1`` the only (n-2)-face is the empty face,
-    whose link is the whole complex (a union of cycles).
+    whose link is the whole complex (a union of cycles).  The facets come
+    from :meth:`SimplicialComplex.face_facets` and the report is cached on
+    ``K``; a link that is not a union of cycles raises on every request.
     """
     face = frozenset(F)
+    report = K._links.get(face)
+    if report is not None:
+        return report
     want = K.dim - 1
     if len(face) != want:
         raise ValueError(
             f"expected an (n-2)-face with {want} vertices, got {sorted(face)}")
-    if face and face not in faces_of_dim(K, K.dim - 2):
+    facets = K.face_facets().get(face)
+    if facets is None:
         raise ValueError(f"{sorted(face)} is not a face of the complex")
-    edges = [tuple(sorted(f - face)) for f in K.facets if face <= f]
-    cycles = _cycles_from_edges(edges)
+    cycles = _cycles_from_edges([tuple(sorted(f - face)) for f in facets])
     sizes = tuple(sorted(len(c) for c in cycles))
-    return LinkReport(face=face, cycles=tuple(cycles), sizes=sizes)
+    report = LinkReport(face=face, cycles=tuple(cycles), sizes=sizes)
+    K._links[face] = report
+    return report
 
 
 def complex_type(K: SimplicialComplex) -> set:
     """The set of all link cycle lengths over the (n-2)-faces of ``K``."""
     sizes = set()
-    if K.dim == 1:
-        return set(link_of_face(K, ()).sizes)
-    for face in faces_of_dim(K, K.dim - 2):
+    for face in K.face_facets():
         sizes.update(link_of_face(K, face).sizes)
     return sizes
 
 
-def skeleton(K: SimplicialComplex):
+def skeleton(K: SimplicialComplex) -> Graph:
     """The graph of vertices and 1-faces of ``K``."""
-    from .metric import Graph
-
     edges = {tuple(sorted(e)) for f in K.facets
              for e in itertools.combinations(f, 2)}
     return Graph(K.vertices, edges)
@@ -230,6 +249,94 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     return sum((-1) ** k * len(faces_of_dim(K, k)) for k in range(K.dim + 1))
 
 
+class Partition:
+    """An ordered partition of a finite set of positive integers.
+
+    Parts are stored in canonical order (by size, then smallest element).
+    Equality and hashing are on the canonical form.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts) -> None:
+        norm = []
+        seen = set()
+        for p in parts:
+            fp = frozenset(p)
+            if not fp:
+                raise ValueError("empty part in partition")
+            if any(not isinstance(v, int) or v < 1 for v in fp):
+                raise ValueError(f"partition elements must be positive integers: {sorted(fp)}")
+            if seen & fp:
+                raise ValueError(f"parts are not disjoint: {sorted(seen & fp)} repeated")
+            seen |= fp
+            norm.append(fp)
+        if not norm:
+            raise ValueError("partition needs at least one part")
+        norm.sort(key=lambda p: (len(p), min(p)))
+        object.__setattr__(self, "parts", tuple(norm))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Partition is immutable")
+
+    @property
+    def ground_set(self) -> frozenset:
+        return frozenset().union(*self.parts)
+
+    @property
+    def m(self) -> int:
+        """Number of elements partitioned (n+1 for a dimension-n complex)."""
+        return len(self.ground_set)
+
+    @property
+    def t(self) -> int:
+        """Number of parts."""
+        return len(self.parts)
+
+    @property
+    def sizes(self) -> tuple:
+        """Sorted part sizes."""
+        return tuple(len(p) for p in self.parts)
+
+    @property
+    def h(self) -> int:
+        """Number of singleton parts."""
+        return sum(1 for p in self.parts if len(p) == 1)
+
+    def size_counts(self) -> Counter:
+        """m_u: how many parts have size u."""
+        return Counter(len(p) for p in self.parts)
+
+    def covers_range(self) -> bool:
+        """True when the ground set is exactly {1..m}."""
+        return self.ground_set == frozenset(range(1, self.m + 1))
+
+    @classmethod
+    def from_spec(cls, text: str) -> "Partition":
+        """Parse the CLI syntax, e.g. ``"1,2|3,4,5"``."""
+        parts = []
+        for chunk in text.split("|"):
+            items = [s.strip() for s in chunk.split(",")]
+            if any(not s.isdigit() or int(s) < 1 for s in items):
+                raise ValueError(f"bad partition spec {text!r}")
+            parts.append([int(s) for s in items])
+        return cls(parts)
+
+    def to_spec(self) -> str:
+        return "|".join(",".join(str(v) for v in sorted(p)) for p in self.parts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Partition({self.to_spec()!r})"
+
+
 def characteristic_partition(K: SimplicialComplex, delta):
     """Partition of a facet's vertices induced by the length-3 links.
 
@@ -238,8 +345,6 @@ def characteristic_partition(K: SimplicialComplex, delta):
     of type within {3, 4}; the induced graph must be a disjoint union of
     cliques, otherwise the input is rejected as corrupt.
     """
-    from .partitions import Partition
-
     delta = frozenset(delta)
     if delta not in K.facets:
         raise ValueError(f"{sorted(delta)} is not a facet of the complex")
@@ -287,30 +392,3 @@ def characteristic_partition(K: SimplicialComplex, delta):
         parts.append(tuple(sorted(comp)))
         left -= comp
     return Partition(parts)
-
-
-def are_isomorphic(K1: SimplicialComplex, K2: SimplicialComplex):
-    """A vertex bijection mapping facets onto facets, or None.
-
-    Cheap invariants (dimension, vertex/facet counts, degree sequences)
-    rule out most non-isomorphic pairs; for complexes that both classify
-    as type {3, 4} the characteristic partitions decide (two such
-    complexes are isomorphic exactly when their part-size multisets
-    agree).  A positive answer is always returned as an explicit
-    bijection found by backtracking.
-    """
-    from ._bijections import find_bijection
-    from .partitions import classify
-
-    if K1.dim != K2.dim:
-        return None
-    if len(K1.vertices) != len(K2.vertices) or K1.num_facets != K2.num_facets:
-        return None
-    try:
-        p1, p2 = classify(K1), classify(K2)
-    except ValueError:
-        pass
-    else:
-        if p1.sizes != p2.sizes:
-            return None
-    return find_bijection(K1.facets, K2.facets)

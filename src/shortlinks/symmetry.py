@@ -1,7 +1,8 @@
-"""Brute-force symmetry groups of small complexes.
+"""Brute-force symmetry groups and isomorphisms of small complexes.
 
-Automorphisms are found by exhaustive backtracking over vertex bijections
-preserving the facet set; orbits are computed from generator applications.
+Automorphisms and isomorphisms are found by exhaustive backtracking over
+vertex bijections preserving the facet set; orbits are computed from
+generator applications.
 The reflection group Cox(K) attached to a partition is realized on a
 small permutation domain and its order is obtained by explicit closure,
 so the closed-form orders elsewhere in the package can be checked against
@@ -14,10 +15,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from ._bijections import all_automorphism_images
+from ._bijections import all_automorphism_images, find_bijection
 from .errors import GuardExceeded
-from .partitions import Partition
-from .simplicial import SimplicialComplex
+from .partitions import classify
+from .simplicial import Partition, SimplicialComplex
 
 AUTOMORPHISM_VERTEX_GUARD = 12
 COXETER_ORDER_GUARD = 10 ** 7
@@ -37,10 +38,6 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
-    @classmethod
-    def identity(cls, domain) -> "Permutation":
-        return cls({v: v for v in domain})
-
     def __call__(self, v):
         return self.mapping[v]
 
@@ -49,13 +46,6 @@ class Permutation:
         if isinstance(element, int):
             return self.mapping[element]
         return frozenset(self.mapping[v] for v in element)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(v) = self(other(v))."""
-        return Permutation({v: self.mapping[w] for v, w in other.mapping.items()})
-
-    def inverse(self) -> "Permutation":
-        return Permutation({w: v for v, w in self.mapping.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
@@ -95,6 +85,30 @@ def automorphism_count(K: SimplicialComplex) -> int:
     """
     _check_vertex_guard(K)
     return sum(1 for _ in all_automorphism_images(K.facets))
+
+
+def are_isomorphic(K1: SimplicialComplex, K2: SimplicialComplex):
+    """A vertex bijection mapping facets onto facets, or None.
+
+    Cheap invariants (dimension, vertex/facet counts, degree sequences)
+    rule out most non-isomorphic pairs; for complexes that both classify
+    as type {3, 4} the characteristic partitions decide (two such
+    complexes are isomorphic exactly when their part-size multisets
+    agree).  A positive answer is always returned as an explicit
+    bijection found by backtracking.
+    """
+    if K1.dim != K2.dim:
+        return None
+    if len(K1.vertices) != len(K2.vertices) or K1.num_facets != K2.num_facets:
+        return None
+    try:
+        p1, p2 = classify(K1), classify(K2)
+    except ValueError:
+        pass
+    else:
+        if p1.sizes != p2.sizes:
+            return None
+    return find_bijection(K1.facets, K2.facets)
 
 
 def orbits(perms, domain) -> list:

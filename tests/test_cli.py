@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from conftest import FIXTURES
-from shortlinks.cli import main, skeleton_name
+from shortlinks import Partition, kp_summary
+from shortlinks.cli import _verify_row, main, skeleton_name
 from shortlinks.formats import parse_complex
 
 
@@ -169,6 +170,12 @@ class TestHelpers:
         assert skeleton_name(6, 0) == "K6"
         assert skeleton_name(5, 1) == "K5-K2"
         assert skeleton_name(10, 5) == "K10-5K2"
+
+    @pytest.mark.parametrize("spec", ["1|2|3|4|5|6,7", "1|2|3|4|5|6|7"])
+    def test_rows_beyond_the_vertex_guard_are_unverified(self, spec):
+        # 13 and 14 vertices: the automorphism guard refuses before searching
+        p = Partition.from_spec(spec)
+        assert _verify_row(p, kp_summary(p)) == "-"
 
 
 class TestConsoleEntry:

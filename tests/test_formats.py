@@ -7,7 +7,6 @@ from shortlinks import (
     FormatError,
     Graph,
     Partition,
-    Quadrillage,
     build_kp,
     cube,
     cycle_graph,
@@ -15,11 +14,9 @@ from shortlinks import (
 )
 from shortlinks.formats import (
     detect_format,
-    parse_any,
     parse_complex,
     parse_graph,
     parse_quadrillage,
-    relabel_contiguous,
     serialize_complex,
     serialize_graph,
     serialize_quadrillage,
@@ -126,19 +123,9 @@ class TestErrors:
         G = Graph([2, 3, 5], [(2, 3), (3, 5)])
         with pytest.raises(ValueError):
             serialize_graph(G)
-        relabeled, mapping = relabel_contiguous(G)
-        assert relabeled.vertices == (1, 2, 3)
-        assert mapping == {2: 1, 3: 2, 5: 3}
-        assert serialize_graph(relabeled)
 
 
 class TestParseAny:
-    def test_dispatch(self):
-        assert isinstance(parse_any(read_fixture("cube.txt")), Quadrillage)
-        assert isinstance(parse_any(read_fixture("k7_c5.txt")), Graph)
-        K = parse_any(read_fixture("octahedron.txt"))
-        assert K.num_facets == 8
-
     def test_cycle_graph_ids_are_one_based(self):
         text = serialize_graph(cycle_graph(4))
         assert text.splitlines()[0] == "graph 4"

@@ -1,0 +1,29 @@
+"""Layout checks on the package sources, read with ``ast`` (nothing is imported)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "shortlinks"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    found = []
+    for fn in ast.walk(parse(path)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_simplicial_is_the_bottom_layer():
+    imported = {node.module for node in ast.walk(parse(SRC / "simplicial.py"))
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert not imported & {"partitions", "symmetry", "_bijections"}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import read_fixture
 from shortlinks import (
     CutDecomposition,
     Graph,
@@ -22,10 +23,11 @@ from shortlinks import (
     hypercube_graph,
     is_isometric_cycle,
     kgonal_violations,
-    make_graph,
+    link_of_face,
     partial_cube,
     skeleton,
 )
+from shortlinks.formats import parse_complex, parse_graph
 
 
 def k5_minus_triangle() -> Graph:
@@ -54,11 +56,6 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             cycle_graph(2)
 
-    def test_make_graph_dispatch(self):
-        assert make_graph("cycle", m=6) == cycle_graph(6)
-        with pytest.raises(ValueError):
-            make_graph("petersen")
-
     def test_distances(self):
         G = cycle_graph(6)
         assert G.distance(1, 4) == 3
@@ -84,13 +81,10 @@ class TestIsometricCycle:
         assert is_isometric_cycle(cycle_graph(6), (1, 2, 3, 4, 5, 6))
 
     def test_figure1_link_not_isometric(self):
-        from conftest import read_fixture
-        from shortlinks.formats import parse_complex
         G = skeleton(parse_complex(read_fixture("figure1.txt")))
         assert not is_isometric_cycle(G, (1, 2, 3, 4, 5))
 
     def test_octahedron_vertex_link_isometric(self):
-        from shortlinks import link_of_face
         K = build_kp(Partition.from_spec("1|2|3"))
         G = skeleton(K)
         cyc = link_of_face(K, [1]).cycles[0]
@@ -118,6 +112,13 @@ class TestGonal:
 
     def test_k23_violated(self):
         assert kgonal_violations(k23(), 2) != []
+
+    @pytest.mark.parametrize("name", ["k5_k3.txt", "k7_c5.txt"])
+    def test_bound_2_is_the_short_part_of_bound_3(self, name):
+        G = parse_graph(read_fixture(name))
+        short = [v for v in kgonal_violations(G, 3)
+                 if sum(abs(c) for _, c in v.coefficients) <= 5]
+        assert short == kgonal_violations(G, 2)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):

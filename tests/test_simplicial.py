@@ -9,6 +9,7 @@ from shortlinks import (
     build_kp,
     characteristic_partition,
     complex_type,
+    enumerate_partitions,
     euler_characteristic,
     faces_of_dim,
     is_closed_pseudomanifold,
@@ -142,6 +143,47 @@ class TestLinks:
         K = SimplicialComplex(2, [[1, 2, 3]])
         with pytest.raises(ValueError):
             link_of_face(K, [1])
+
+
+def scanned_face_facets(K) -> dict:
+    """Reference for the face index: scan every facet for every (n-2)-face."""
+    faces = faces_of_dim(K, K.dim - 2) if K.dim >= 2 else {frozenset()}
+    return {face: {f for f in K.facets if face <= f} for face in faces}
+
+
+SIMPLICIAL_FIXTURES = ["figure1.txt", "kp_1_23.txt", "octahedron.txt", "simplex3.txt"]
+
+
+class TestFaceIndex:
+    @pytest.mark.parametrize("K", [
+        *(parse_complex(read_fixture(name)) for name in SIMPLICIAL_FIXTURES),
+        *(build_kp(p) for m in range(2, 6) for p in enumerate_partitions(m)),
+    ])
+    def test_matches_facet_scan(self, K):
+        index = K.face_facets()
+        assert {face: set(fs) for face, fs in index.items()} == scanned_face_facets(K)
+        assert all(len(fs) == len(set(fs)) for fs in index.values())
+        # entries are the complex's own facet objects, not copies
+        own = {id(f) for f in K.facets}
+        assert all(id(f) in own for fs in index.values() for f in fs)
+
+    def test_dim1_disjoint_triangle_and_square(self):
+        K = SimplicialComplex(1, [[1, 2], [2, 3], [1, 3],
+                                  [4, 5], [5, 6], [6, 7], [4, 7]])
+        assert list(K.face_facets()) == [frozenset()]
+        assert complex_type(K) == {3, 4}
+
+    def test_boundary_complex_good_and_bad_links(self):
+        # a square pyramid without its base: vertex 1's link is a 4-cycle,
+        # every other vertex lies on the boundary
+        K = SimplicialComplex(2, [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 2]])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                link_of_face(K, [2])
+        assert link_of_face(K, [1]).sizes == (4,)
+        assert link_of_face(K, [1]) is link_of_face(K, [1])
+        with pytest.raises(ValueError):
+            link_of_face(K, [2])
 
 
 class TestComplexType:
