@@ -169,13 +169,19 @@ def _simplicial_report(K: SimplicialComplex, bound: int):
 
 def _embeddability_report(G: Graph, bound: int):
     pairs = []
-    hyper = kgonal_violations(G, bound)
-    # the bound-2 (5-gonal) vectors are those with sum |b_i| <= 5, in the same order
-    gonal5 = [v for v in hyper if sum(abs(c) for _, c in v.coefficients) <= 5]
-    pairs.append(("5-gonal", "ok" if not gonal5
-                  else f"violated by b={dict(gonal5[0].coefficients)}"))
-    pairs.append((f"hypermetric (bound {bound})", "ok" if not hyper
-                  else f"violated by b={dict(hyper[0].coefficients)}"))
+    try:
+        hyper = kgonal_violations(G, bound)
+    except ValueError as exc:
+        pairs.append(("5-gonal", f"skipped ({exc})"))
+        pairs.append((f"hypermetric (bound {bound})", f"skipped ({exc})"))
+    else:
+        # the bound-2 (5-gonal) vectors: sum |b_i| <= 5, in the same order
+        gonal5 = [v for v in hyper
+                  if sum(abs(c) for _, c in v.coefficients) <= 5]
+        pairs.append(("5-gonal", "ok" if not gonal5
+                      else f"violated by b={dict(gonal5[0].coefficients)}"))
+        pairs.append((f"hypermetric (bound {bound})", "ok" if not hyper
+                      else f"violated by b={dict(hyper[0].coefficients)}"))
     try:
         dec = cut_cone_decompose(G)
     except GuardExceeded:
@@ -213,12 +219,20 @@ def _quad_report(Q: Quadrillage, bound: int):
     simple = all(zone_is_simple(Q, z) for z in zs)
     pairs.append(("zones simple", "yes" if simple else "no"))
     if simple:
-        convex = all(zone_is_convex(Q, z) for z in zs)
-        pairs.append(("zones convex", "yes" if convex else "no"))
+        try:
+            convex = all(zone_is_convex(Q, z) for z in zs)
+        except ValueError as exc:
+            pairs.append(("zones convex", f"skipped ({exc})"))
+        else:
+            pairs.append(("zones convex", "yes" if convex else "no"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pairs.append(("embeddable by zones",
-                      "yes" if embeddable_by_zones(Q) else "no"))
+        try:
+            embeddable = embeddable_by_zones(Q)
+        except ValueError as exc:
+            pairs.append(("embeddable by zones", f"skipped ({exc})"))
+        else:
+            pairs.append(("embeddable by zones", "yes" if embeddable else "no"))
     pairs.extend(_embeddability_report(Q.skeleton(), bound))
     return pairs
 
@@ -249,13 +263,18 @@ def cmd_embed(args) -> int:
     if args.scale is not None or args.dim is not None:
         if args.scale is None or args.dim is None:
             raise FormatError("--scale and --dim must be given together")
-        found = find_scaled_embedding(G, args.scale, args.dim)
+        head = f"embedding (scale {args.scale}, dim {args.dim})"
+        try:
+            found = find_scaled_embedding(G, args.scale, args.dim)
+        except ValueError as exc:
+            if args.scale < 1 or G.is_connected():
+                raise  # an input error, not the undefined path-metric
+            sys.stdout.write(f"{head}: skipped ({exc})\n")
+            return 0
         if found is None:
-            sys.stdout.write(
-                f"embedding (scale {args.scale}, dim {args.dim}): none\n")
+            sys.stdout.write(f"{head}: none\n")
         else:
-            sys.stdout.write(
-                f"embedding (scale {args.scale}, dim {args.dim}): found\n")
+            sys.stdout.write(f"{head}: found\n")
             for v in G.vertices:
                 bits = "".join(str(b) for b in found[v])
                 sys.stdout.write(f"  {v}: {bits}\n")

@@ -15,6 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import GuardExceeded
 from .exactlp import solve_nonnegative
@@ -225,36 +226,68 @@ def kgonal_violations(G: Graph, bound: int = 3) -> list:
     ones, and so on.  An empty list certifies "hypermetric up to the
     bound"; full hypermetricity is an infinite family and is not decided
     here.
+
+    Every integer vector b on the vertices with sum b_i = 1 and
+    sum |b_i| <= 2*bound + 1 is considered; the result lists those with
+    sum_{i<j} b_i b_j d(i, j) > 0, sorted by their coefficients.  The
+    search recurses on the next nonzero position only and carries the
+    score as running sums: the value of the vector so far and
+    ``cross[p] = sum_k b_k d(k, p)`` for the positions p still free, so
+    placing c at p adds ``c * cross[p]``.  The last coefficient is forced
+    to 1 - (sum so far), and one max/min over ``cross`` decides whether
+    any position can take it with a violation.  Each violation found is
+    audited with the independent :meth:`GonalVector.value`.  A
+    disconnected graph raises ``ValueError``.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
     budget = 2 * bound + 1
     verts = G.vertices
+    dist = G._distance_rows()
     n = len(verts)
+    # scaled[p][c][q - p - 1] = c * d(p, q) for the positions q > p
+    scaled = [{c: [c * d for d in dist[p][p + 1:]]
+               for c in range(-budget, budget + 1) if c} for p in range(n)]
+    # moves[left][total]: the (c, total + c, left - |c|) that leave budget
+    # for at least one more nonzero coefficient and for reaching a sum of 1
+    moves = [{total: [(c, total + c, left - abs(c))
+                      for c in range(1 - left, left)
+                      if c and abs(1 - total - c) <= left - abs(c)]
+              for total in range(-budget, budget + 1)}
+             for left in range(budget + 1)]
     violations = []
-    coeffs = [0] * n
+    support = []  # (position, coefficient) of the nonzero entries so far
 
-    def extend(i: int, left: int, total: int):
-        if i == n:
-            if total == 1:
-                vec = GonalVector(tuple(
-                    (verts[k], coeffs[k]) for k in range(n) if coeffs[k]))
-                if vec.value(G) > 0:
-                    violations.append(vec)
+    def emit(p: int, c: int):
+        vec = GonalVector(tuple((verts[i], b) for i, b in support)
+                          + ((verts[p], c),))
+        if not vec.value(G) > 0:
+            raise AssertionError("k-gonal violation failed its audit")
+        violations.append(vec)
+
+    def extend(start: int, left: int, total: int, value: int, cross: list):
+        # cross[p - start] is the running sum for position p >= start
+        last = 1 - total
+        if last and abs(last) <= left:
+            best = max(cross) if last > 0 else min(cross)
+            if value + last * best > 0:
+                for p in range(start, n):
+                    if value + last * cross[p - start] > 0:
+                        emit(p, last)
+        options = moves[left][total]
+        if not options:
             return
-        last = i == n - 1
-        for c in range(-left, left + 1):
-            # the rest must still be able to reach a total of exactly 1
-            rest = left - abs(c)
-            if abs(1 - (total + c)) > rest:
-                continue
-            if last and total + c != 1:
-                continue
-            coeffs[i] = c
-            extend(i + 1, rest, total + c)
-        coeffs[i] = 0
+        for p in range(start, n - 1):
+            here = cross[p - start]
+            tail = cross[p + 1 - start:]
+            rows = scaled[p]
+            for c, now, rest in options:
+                support.append((p, c))
+                extend(p + 1, rest, now, value + c * here,
+                       list(map(add, tail, rows[c])))
+                support.pop()
 
-    extend(0, budget, 0)
+    extend(0, budget, 0, 0, [0] * n)
     violations.sort(key=lambda v: v.coefficients)
     return violations
 

@@ -245,8 +245,25 @@ def skeleton(K: SimplicialComplex) -> Graph:
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
-    """Alternating sum of face counts over all dimensions."""
-    return sum((-1) ** k * len(faces_of_dim(K, k)) for k in range(K.dim + 1))
+    """Alternating sum of face counts over all dimensions.
+
+    Faces are vertex bitmasks; the (k-1)-faces are the k-faces with one
+    set bit cleared, so each dimension is built from the one above it.
+    """
+    bit = {v: 1 << i for i, v in enumerate(K.vertices)}
+    level = {sum(bit[v] for v in f) for f in K.facets}
+    chi = 0
+    for k in range(K.dim, -1, -1):
+        chi += (-1) ** k * len(level)
+        lower = set()
+        for mask in level:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                lower.add(mask ^ low)
+                rest ^= low
+        level = lower
+    return chi
 
 
 class Partition:

@@ -1,7 +1,14 @@
+import contextlib
+import io
+import itertools
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from shortlinks import Partition, kp_summary
@@ -163,6 +170,110 @@ class TestEmbed:
                                "--scale", "2", "--dim", "4")
         assert code == 3
         assert "instance too large" in err
+
+
+DISCONNECTED = "skipped (graph is disconnected; the path-metric is undefined)"
+EMBEDDABILITY_KEYS = ("5-gonal", "hypermetric (bound 3)", "cut cone",
+                      "partial cube")
+
+
+def report_lines(out: str) -> dict:
+    return dict(line.split(": ", 1) for line in out.splitlines()
+                if not line.startswith("  "))
+
+
+class TestDisconnectedInput:
+    def test_dim1_triangle_and_square(self, capsys, tmp_path):
+        f = tmp_path / "tri_sq.txt"
+        f.write_text("simplicial 1\n1 2\n2 3\n1 3\n4 5\n5 6\n6 7\n4 7\n")
+        code, out, err = run_cli(capsys, "analyze", str(f))
+        assert code == 0 and err == ""
+        report = report_lines(out)
+        assert report["type"] == "{3,4}"
+        assert report["classification"].startswith("failed")
+        assert report["5-gonal"] == DISCONNECTED
+        assert report["hypermetric (bound 3)"] == DISCONNECTED
+        assert report["cut cone"] == DISCONNECTED
+        assert report["partial cube"].startswith("skipped")
+
+    def test_quad_with_isolated_vertices(self, capsys, tmp_path):
+        f = tmp_path / "quad6.txt"
+        f.write_text("quad 6\n1 2 3 4\n")
+        code, out, err = run_cli(capsys, "analyze", str(f))
+        assert code == 0 and err == ""
+        report = report_lines(out)
+        assert report["zones"] == "2"
+        assert report["zones convex"] == DISCONNECTED
+        assert report["embeddable by zones"] == DISCONNECTED
+        assert report["5-gonal"] == DISCONNECTED
+        assert report["hypermetric (bound 3)"] == DISCONNECTED
+
+    def test_embed_two_triangles(self, capsys, tmp_path):
+        f = tmp_path / "two_triangles.txt"
+        f.write_text("graph 6\n1 2\n2 3\n1 3\n4 5\n5 6\n4 6\n")
+        code, out, err = run_cli(capsys, "embed", str(f), "--graph")
+        assert code == 0 and err == ""
+        report = report_lines(out)
+        assert report["5-gonal"] == DISCONNECTED
+        assert report["hypermetric (bound 3)"] == DISCONNECTED
+        assert report["cut cone"] == DISCONNECTED
+        assert report["partial cube"].startswith("skipped")
+        code, out, err = run_cli(capsys, "embed", str(f), "--graph",
+                                 "--scale", "2", "--dim", "4")
+        assert code == 0 and err == ""
+        assert report_lines(out)["embedding (scale 2, dim 4)"] == DISCONNECTED
+        code, _, err = run_cli(capsys, "embed", str(f), "--graph",
+                               "--scale", "0", "--dim", "4")
+        assert code == 2 and "scale must be a positive integer" in err
+
+
+@st.composite
+def graph_file(draw):
+    """A 'graph' file on at most 7 vertices, any edge set."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return "".join([f"graph {n}\n", *(f"{u} {v}\n" for u, v in edges)])
+
+
+@st.composite
+def cycles_file(draw):
+    """A closed 1-dimensional 'simplicial' file: disjoint cycles on <= 7 vertices."""
+    labels = draw(st.permutations(range(1, 8)))
+    lengths = draw(st.sampled_from([(3,), (4,), (5,), (6,), (7,), (3, 3), (3, 4)]))
+    lines = ["simplicial 1\n"]
+    start = 0
+    for length in lengths:
+        cyc = labels[start:start + length]
+        lines.extend(f"{cyc[k]} {cyc[(k + 1) % length]}\n" for k in range(length))
+        start += length
+    return "".join(lines)
+
+
+def run_on_file(text: str, command: str, *flags) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.txt"
+        path.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliFuzz:
+    @given(graph_file())
+    @settings(max_examples=40, deadline=None)
+    def test_embed_reports_every_section(self, text):
+        code, out, err = run_on_file(text, "embed", "--graph")
+        assert code == 0 and err == ""
+        assert all(key in report_lines(out) for key in EMBEDDABILITY_KEYS)
+
+    @given(cycles_file())
+    @settings(max_examples=25, deadline=None)
+    def test_analyze_reports_every_section(self, text):
+        code, out, err = run_on_file(text, "analyze")
+        assert code == 0 and err == ""
+        assert all(key in report_lines(out) for key in EMBEDDABILITY_KEYS)
 
 
 class TestHelpers:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import read_fixture
 from shortlinks import (
     CutDecomposition,
+    GonalVector,
     Graph,
     GuardExceeded,
     Partition,
@@ -16,16 +18,21 @@ from shortlinks import (
     complete_graph,
     complete_minus_cycle,
     complete_minus_matching,
+    cube,
     cut_cone_decompose,
     cycle_graph,
+    dual_cuboctahedron,
     embedding_from_cuts,
+    enumerate_partitions,
     find_scaled_embedding,
+    grid,
     hypercube_graph,
     is_isometric_cycle,
     kgonal_violations,
     link_of_face,
     partial_cube,
     skeleton,
+    torus,
 )
 from shortlinks.formats import parse_complex, parse_graph
 
@@ -128,6 +135,113 @@ class TestGonal:
         for G in (k5_minus_triangle(), k23()):
             assert kgonal_violations(G, 2) != []
             assert cut_cone_decompose(G) is None
+
+
+def reference_kgonal_violations(G: Graph, bound: int) -> list:
+    """Every whole coefficient vector, zeros included, scored at its leaf."""
+    budget = 2 * bound + 1
+    verts = G.vertices
+    n = len(verts)
+    violations = []
+    coeffs = [0] * n
+
+    def extend(i: int, left: int, total: int):
+        if i == n:
+            if total == 1:
+                vec = GonalVector(tuple(
+                    (verts[k], coeffs[k]) for k in range(n) if coeffs[k]))
+                if vec.value(G) > 0:
+                    violations.append(vec)
+            return
+        for c in range(-left, left + 1):
+            rest = left - abs(c)
+            if abs(1 - (total + c)) > rest:
+                continue
+            if i == n - 1 and total + c != 1:
+                continue
+            coeffs[i] = c
+            extend(i + 1, rest, total + c)
+        coeffs[i] = 0
+
+    extend(0, budget, 0)
+    violations.sort(key=lambda v: v.coefficients)
+    return violations
+
+
+def random_connected_graph(rng: random.Random, n: int) -> Graph:
+    """Each pair an edge with probability 1/2, then every vertex joined to 1."""
+    edges = [e for e in itertools.combinations(range(1, n + 1), 2)
+             if rng.random() < 0.5]
+    G = Graph(range(1, n + 1), edges)
+    while not G.is_connected():
+        reach = {1}
+        stack = [1]
+        while stack:
+            for w in G.neighbors(stack.pop()):
+                if w not in reach:
+                    reach.add(w)
+                    stack.append(w)
+        outside = sorted(set(G.vertices) - reach)
+        edges.append((rng.choice(sorted(reach)), outside[0]))
+        G = Graph(range(1, n + 1), edges)
+    return G
+
+
+RANDOM_GRAPHS = [random_connected_graph(random.Random(seed), 5 + seed % 5)
+                 for seed in range(20)]
+
+GRAPH_FIXTURES = ["k5_k2.txt", "k5_k3.txt", "k6_3k2.txt", "k7_c5.txt"]
+
+
+class TestKgonalAgainstReference:
+    @pytest.mark.parametrize("name", GRAPH_FIXTURES)
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_graph_fixtures(self, name, bound):
+        G = parse_graph(read_fixture(name))
+        assert kgonal_violations(G, bound) == reference_kgonal_violations(G, bound)
+
+    @pytest.mark.parametrize("p", [p for m in range(2, 6)
+                                   for p in enumerate_partitions(m)],
+                             ids=lambda p: p.to_spec())
+    def test_kp_skeletons(self, p):
+        G = skeleton(build_kp(p))
+        assert kgonal_violations(G, 3) == reference_kgonal_violations(G, 3)
+
+    @pytest.mark.parametrize("Q", [cube(), torus(3, 3), grid(1, 3)],
+                             ids=["cube", "torus_3x3", "grid_1x3"])
+    def test_quad_skeletons(self, Q):
+        G = Q.skeleton()
+        assert kgonal_violations(G, 3) == reference_kgonal_violations(G, 3)
+
+    @pytest.mark.parametrize("G", [k23(), k5_minus_triangle()],
+                             ids=["k23", "k5_k3"])
+    @pytest.mark.parametrize("bound", [2, 3, 4])
+    def test_violated_graphs_at_three_bounds(self, G, bound):
+        found = kgonal_violations(G, bound)
+        assert found and found == reference_kgonal_violations(G, bound)
+
+    def test_random_connected_graphs(self):
+        with_violations = 0
+        for G in RANDOM_GRAPHS:
+            found = kgonal_violations(G, 3)
+            assert found == reference_kgonal_violations(G, 3)
+            with_violations += bool(found)
+        assert with_violations >= 3
+
+    def test_dual_cuboctahedron_bound_3_is_clean(self):
+        assert kgonal_violations(dual_cuboctahedron().skeleton(), 3) == []
+
+    def test_single_vertex(self):
+        assert kgonal_violations(Graph([1], []), 3) == []
+
+    def test_disconnected_graph_raises(self):
+        with pytest.raises(ValueError, match="disconnected"):
+            kgonal_violations(Graph([1, 2, 3, 4], [(1, 2), (3, 4)]), 2)
+
+    def test_audit_rejects_a_disagreeing_score(self, monkeypatch):
+        monkeypatch.setattr(GonalVector, "value", lambda self, G: 0)
+        with pytest.raises(AssertionError, match="audit"):
+            kgonal_violations(k23(), 2)
 
 
 class TestPartialCube:

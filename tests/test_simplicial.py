@@ -240,6 +240,16 @@ class TestEuler:
     def test_three_sphere_chi_zero(self, spec):
         assert euler_characteristic(build_kp(Partition.from_spec(spec))) == 0
 
+    @pytest.mark.parametrize("K", [
+        *(parse_complex(read_fixture(name)) for name in SIMPLICIAL_FIXTURES),
+        *(build_kp(p) for m in range(2, 6) for p in enumerate_partitions(m)),
+        SimplicialComplex(2, [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 2]]),
+    ])
+    def test_matches_alternating_face_counts(self, K):
+        expected = sum((-1) ** k * len(faces_of_dim(K, k))
+                       for k in range(K.dim + 1))
+        assert euler_characteristic(K) == expected
+
 
 class TestCharacteristicPartition:
     def test_octahedron_all_singletons(self):
