@@ -1,11 +1,22 @@
-"""Backtracking search for vertex bijections carrying one facet set onto another.
+"""Vertex bijections carrying one facet set onto another, and Aut as a stabilizer chain.
 
-The search assigns vertex images one at a time, restricting candidates to
-vertices with matching local invariants (skeleton degree, facet membership
-count, pairwise co-facet counts) and checking a facet's image as soon as
-all of its vertices are mapped.  When the complement of a facet is smaller
-than the facet itself, the complement family is checked instead (a
-bijection preserves one family exactly when it preserves the other).
+The backtracking search assigns vertex images one at a time, restricting
+candidates to vertices with matching local invariants (skeleton degree,
+facet membership count, pairwise co-facet counts) and checking a facet's
+image as soon as all of its vertices are mapped.  When the complement of
+a facet is smaller than the facet itself, the complement family is
+checked instead (a bijection preserves one family exactly when it
+preserves the other).  Every search stops at its first solution.
+
+The automorphism group is never enumerated leaf by leaf.  With the
+search's vertex order as base b_0, b_1, ..., let G_d be the subgroup
+fixing b_0..b_{d-1} pointwise.  For each signature-compatible w, one
+first-solution search with b_0..b_{d-1} fixed and b_d sent to w decides
+whether w lies in the orbit of b_d under G_d; the bijection it finds is
+the transversal element T_d[w] (Sims 1970; Seress, *Permutation Group
+Algorithms*, 2003, ch. 4).  By orbit-stabilizer, |Aut| = prod |T_d|, and
+every automorphism is exactly one product t_0 t_1 ... with t_d in T_d.
+Each transversal element is audited against the facet family.
 
 Intended for desk-scale inputs (at most ~16 vertices); callers enforce
 their own guards.
@@ -14,6 +25,7 @@ their own guards.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 
 
@@ -79,61 +91,73 @@ def _vertex_order(inst: _Instance) -> list:
     return order
 
 
-def _search(src: _Instance, dst: _Instance, order):
-    """Yield image tuples (indexed by src vertex index) of valid bijections."""
-    n = src.n
-    pos = {v: i for i, v in enumerate(order)}
-    triggers = defaultdict(list)
-    for f in src.family:
-        triggers[max(pos[v] for v in f)].append(sorted(f, key=pos.get))
-    trig = [triggers.get(d, ()) for d in range(n)]
+class _Search:
+    """Backtracking from src's family onto dst's along ``order``, set up once.
 
-    src_counts = {src.pair[a][b] for a in range(n) for b in range(n) if a != b}
-    dst_counts = {dst.pair[a][b] for a in range(n) for b in range(n) if a != b}
-    pair_constant = src_counts == dst_counts and len(src_counts) <= 1
-    src_adj, dst_adj = src.adj, dst.adj
-    src_pair, dst_pair = src.pair, dst.pair
-    dst_masks = dst.fam_masks
-    cands = [[w for w in range(n) if dst.sig[w] == src.sig[v]] for v in range(n)]
-    img = [-1] * n
+    ``cands[v]`` lists the dst vertices whose signature matches src vertex
+    v; :meth:`first` accepts any narrowing of those lists, which is how a
+    stabilizer chain fixes a prefix of the base without a new set-up.
+    """
 
-    def rec(depth: int, used: int):
-        if depth == n:
-            yield tuple(img)
-            return
-        v = order[depth]
-        av = src_adj[v]
-        for w in cands[v]:
-            bit = 1 << w
-            if used & bit:
-                continue
-            aw = dst_adj[w]
-            ok = True
-            for i in range(depth):
-                u = order[i]
-                iu = img[u]
-                if ((av >> u) & 1) != ((aw >> iu) & 1):
-                    ok = False
-                    break
-                if not pair_constant and src_pair[v][u] != dst_pair[w][iu]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            img[v] = w
-            ok = True
-            for f in trig[depth]:
-                m = 0
-                for u in f:
-                    m |= 1 << img[u]
-                if m not in dst_masks:
-                    ok = False
-                    break
-            if ok:
-                yield from rec(depth + 1, used | bit)
-        img[v] = -1
+    def __init__(self, src: _Instance, dst: _Instance, order) -> None:
+        n = src.n
+        pos = {v: i for i, v in enumerate(order)}
+        triggers = defaultdict(list)
+        for f in src.family:
+            triggers[max(pos[v] for v in f)].append(sorted(f, key=pos.get))
+        self.trig = [triggers.get(d, ()) for d in range(n)]
+        src_counts = {src.pair[a][b] for a in range(n) for b in range(n) if a != b}
+        dst_counts = {dst.pair[a][b] for a in range(n) for b in range(n) if a != b}
+        self.pair_constant = src_counts == dst_counts and len(src_counts) <= 1
+        self.n, self.order, self.src, self.dst = n, order, src, dst
+        self.cands = [[w for w in range(n) if dst.sig[w] == src.sig[v]]
+                      for v in range(n)]
 
-    yield from rec(0, 0)
+    def first(self, cands):
+        """Image tuple (indexed by src vertex) of the first valid bijection
+        with every image drawn from ``cands``, or None."""
+        n, order, trig = self.n, self.order, self.trig
+        src_adj, dst_adj = self.src.adj, self.dst.adj
+        src_pair, dst_pair = self.src.pair, self.dst.pair
+        pair_constant = self.pair_constant
+        dst_masks = self.dst.fam_masks
+        img = [-1] * n
+
+        def rec(depth: int, used: int) -> bool:
+            if depth == n:
+                return True
+            v = order[depth]
+            av = src_adj[v]
+            for w in cands[v]:
+                bit = 1 << w
+                if used & bit:
+                    continue
+                aw = dst_adj[w]
+                ok = True
+                for i in range(depth):
+                    u = order[i]
+                    iu = img[u]
+                    if ((av >> u) & 1) != ((aw >> iu) & 1):
+                        ok = False
+                        break
+                    if not pair_constant and src_pair[v][u] != dst_pair[w][iu]:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                img[v] = w
+                for f in trig[depth]:
+                    m = 0
+                    for u in f:
+                        m |= 1 << img[u]
+                    if m not in dst_masks:
+                        break
+                else:
+                    if rec(depth + 1, used | bit):
+                        return True
+            return False
+
+        return tuple(img) if rec(0, 0) else None
 
 
 def _compatible(src: _Instance, dst: _Instance) -> bool:
@@ -148,10 +172,58 @@ def find_bijection(facets1, facets2):
     src, dst = _Instance(facets1), _Instance(facets2)
     if not _compatible(src, dst):
         return None
-    order = _vertex_order(src)
-    for images in _search(src, dst, order):
-        return {src.verts[v]: dst.verts[images[v]] for v in range(src.n)}
-    return None
+    search = _Search(src, dst, _vertex_order(src))
+    images = search.first(search.cands)
+    if images is None:
+        return None
+    return {src.verts[v]: dst.verts[images[v]] for v in range(src.n)}
+
+
+def _audit(inst: _Instance, images) -> None:
+    masks = set()
+    for f in inst.family:
+        m = 0
+        for v in f:
+            m |= 1 << images[v]
+        masks.add(m)
+    if len(set(images)) != inst.n or masks != inst.fam_masks:
+        raise AssertionError("transversal element failed its audit")
+
+
+def _stabilizer_chain(facets) -> list:
+    """Transversals T_0, T_1, ... of Aut along the search's vertex order.
+
+    ``T_d`` lists one automorphism for each image of the base point
+    ``order[d]`` under the pointwise stabilizer of ``order[:d]``, the
+    identity first; each is an image tuple as in
+    :func:`all_automorphism_images`.
+    """
+    inst = _Instance(facets)
+    order = _vertex_order(inst)
+    search = _Search(inst, inst, order)
+    identity = tuple(range(inst.n))
+    cands = list(search.cands)
+    chain = []
+    fixed = 0
+    for v in order:
+        level = [identity]
+        for w in search.cands[v]:
+            if w == v or fixed >> w & 1:
+                continue
+            cands[v] = (w,)
+            images = search.first(cands)
+            if images is not None:
+                _audit(inst, images)
+                level.append(images)
+        cands[v] = (v,)
+        fixed |= 1 << v
+        chain.append(level)
+    return chain
+
+
+def automorphism_group_order(facets) -> int:
+    """|Aut| of the facet family, as the product of the transversal sizes."""
+    return math.prod(len(level) for level in _stabilizer_chain(facets))
 
 
 def all_automorphism_images(facets):
@@ -159,7 +231,15 @@ def all_automorphism_images(facets):
 
     Tuples are indexed by position in the sorted vertex list; the sorted
     vertex list itself is obtained from ``sorted(set().union(*facets))``.
+    The pointwise stabilizer of the first base point is built as a list;
+    its cosets are streamed one transversal element at a time.
     """
-    inst = _Instance(facets)
-    order = _vertex_order(inst)
-    yield from _search(inst, inst, order)
+    chain = _stabilizer_chain(facets)
+    stabilizer = [chain[0][0]]  # the identity
+    for level in reversed(chain[1:]):
+        if len(level) > 1:
+            stabilizer = [tuple(map(t.__getitem__, h))
+                          for t in level for h in stabilizer]
+    for t in chain[0]:
+        for h in stabilizer:
+            yield tuple(map(t.__getitem__, h))

@@ -119,14 +119,15 @@ def classify(K: SimplicialComplex) -> Partition:
             sizes = cp.sizes
         elif cp.sizes != sizes:
             raise ValueError(
-                "facets disagree on the characteristic partition (corrupt input)")
+                "not of the K(P) form: facets disagree on the characteristic "
+                "partition")
     canonical = _canonical_partition(sizes)
     expected = kp_summary(canonical)
     if (len(K.vertices) != expected.skeleton_m
             or K.num_facets != expected.facet_count):
         raise ValueError(
-            "complex is not of the K(P) form: vertex or facet count does not "
-            "match its characteristic partition (corrupt input)")
+            "not of the K(P) form: vertex or facet count does not match its "
+            "characteristic partition")
     return canonical
 
 

@@ -196,6 +196,18 @@ class TestDisconnectedInput:
         assert report["cut cone"] == DISCONNECTED
         assert report["partial cube"].startswith("skipped")
 
+    def test_dim1_triangle_and_square_is_not_called_corrupt(self, capsys, tmp_path):
+        f = tmp_path / "tri_sq.txt"
+        f.write_text("simplicial 1\n1 2\n2 3\n1 3\n4 5\n5 6\n6 7\n4 7\n")
+        code, out, err = run_cli(capsys, "analyze", str(f))
+        assert code == 0 and err == ""
+        report = report_lines(out)
+        assert report["closed"].startswith("yes")
+        assert report["classification"] == (
+            "failed: not of the K(P) form: facets disagree on the "
+            "characteristic partition")
+        assert "corrupt" not in out
+
     def test_quad_with_isolated_vertices(self, capsys, tmp_path):
         f = tmp_path / "quad6.txt"
         f.write_text("quad 6\n1 2 3 4\n")

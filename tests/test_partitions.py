@@ -193,7 +193,7 @@ class TestClassify:
         from shortlinks import SimplicialComplex
         K1 = build_kp(Partition.from_spec("1|2|3"))
         shifted = {frozenset(v + 10 for v in f) for f in K1.facets}
-        with pytest.raises(ValueError, match="corrupt"):
+        with pytest.raises(ValueError, match="not of the K\\(P\\) form"):
             classify(SimplicialComplex(2, K1.facets | shifted))
 
     def test_lemma_same_partition_on_every_facet(self):

@@ -1,11 +1,17 @@
+import itertools
 import math
+import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shortlinks import (
     GuardExceeded,
     Partition,
     Permutation,
+    SimplicialComplex,
     automorphism_count,
     automorphisms,
     build_kp,
@@ -14,7 +20,12 @@ from shortlinks import (
     enumerate_partitions,
     kp_summary,
     orbits,
+    product_dual,
 )
+from shortlinks import _bijections
+from shortlinks._bijections import _Instance, _vertex_order
+from conftest import read_fixture
+from shortlinks.formats import parse_complex
 
 
 def aut_formula(p: Partition) -> int:
@@ -35,6 +46,11 @@ class TestPermutation:
 
     def test_hashable(self):
         assert len({Permutation({1: 2, 2: 1}), Permutation({2: 1, 1: 2})}) == 1
+
+    def test_equal_only_as_mappings(self):
+        assert Permutation({1: 2, 2: 1}) != Permutation({3: 4, 4: 3})
+        assert Permutation({1: 1}) != Permutation({2: 2})
+        assert repr(Permutation({1: 2, 2: 1, 3: 3})) == "Permutation({1: 2, 2: 1})"
 
 
 class TestAutomorphisms:
@@ -64,6 +80,184 @@ class TestAutomorphisms:
             for p in enumerate_partitions(m):
                 K = build_kp(p)
                 assert automorphism_count(K) == aut_formula(p)
+
+
+def _sorted_perms(verts, image_tuples) -> list:
+    perms = [Permutation(dict(zip(verts, (verts[i] for i in im))))
+             for im in image_tuples]
+    perms.sort(key=lambda p: sorted(p.mapping.items()))
+    return perms
+
+
+def bruteforce_automorphisms(K) -> list:
+    """Every vertex permutation of K tried against the facet set."""
+    verts = K.vertices
+    idx = {v: i for i, v in enumerate(verts)}
+    facets = [[idx[v] for v in f] for f in K.facets]
+    masks = {sum(1 << v for v in f) for f in facets}
+    found = [im for im in itertools.permutations(range(len(verts)))
+             if all(sum(1 << im[v] for v in f) in masks for f in facets)]
+    return _sorted_perms(verts, found)
+
+
+def leaf_walk_images(src, dst, order):
+    """The seed's full backtracking walk, yielding every valid bijection."""
+    n = src.n
+    pos = {v: i for i, v in enumerate(order)}
+    triggers = defaultdict(list)
+    for f in src.family:
+        triggers[max(pos[v] for v in f)].append(sorted(f, key=pos.get))
+    trig = [triggers.get(d, ()) for d in range(n)]
+
+    src_counts = {src.pair[a][b] for a in range(n) for b in range(n) if a != b}
+    dst_counts = {dst.pair[a][b] for a in range(n) for b in range(n) if a != b}
+    pair_constant = src_counts == dst_counts and len(src_counts) <= 1
+    src_adj, dst_adj = src.adj, dst.adj
+    src_pair, dst_pair = src.pair, dst.pair
+    dst_masks = dst.fam_masks
+    cands = [[w for w in range(n) if dst.sig[w] == src.sig[v]] for v in range(n)]
+    img = [-1] * n
+
+    def rec(depth: int, used: int):
+        if depth == n:
+            yield tuple(img)
+            return
+        v = order[depth]
+        av = src_adj[v]
+        for w in cands[v]:
+            bit = 1 << w
+            if used & bit:
+                continue
+            aw = dst_adj[w]
+            ok = True
+            for i in range(depth):
+                u = order[i]
+                iu = img[u]
+                if ((av >> u) & 1) != ((aw >> iu) & 1):
+                    ok = False
+                    break
+                if not pair_constant and src_pair[v][u] != dst_pair[w][iu]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            img[v] = w
+            ok = True
+            for f in trig[depth]:
+                m = 0
+                for u in f:
+                    m |= 1 << img[u]
+                if m not in dst_masks:
+                    ok = False
+                    break
+            if ok:
+                yield from rec(depth + 1, used | bit)
+        img[v] = -1
+
+    yield from rec(0, 0)
+
+
+def reference_automorphisms(K) -> list:
+    """Brute force up to 8 vertices, the full leaf walk for 9-12."""
+    if len(K.vertices) <= 8:
+        return bruteforce_automorphisms(K)
+    inst = _Instance(K.facets)
+    return _sorted_perms(K.vertices, leaf_walk_images(inst, inst, _vertex_order(inst)))
+
+
+def small_kp_and_duals() -> list:
+    cases = []
+    for m in range(2, 7):
+        for p in enumerate_partitions(m):
+            cases += [(f"K({p.to_spec()})", build_kp(p)),
+                      (f"dual({p.to_spec()})", product_dual(p))]
+    return cases
+
+
+def kp_minus_one_facet() -> list:
+    cases = []
+    for m in range(3, 6):
+        for p in enumerate_partitions(m):
+            K = build_kp(p)
+            facets = sorted(K.facets, key=sorted)
+            cases.append((f"K({p.to_spec()})-facet", SimplicialComplex(K.dim, facets[1:])))
+    return cases
+
+
+def random_pure_complexes() -> list:
+    rng = random.Random(20260)
+    cases = []
+    for k in range(24):
+        n = rng.randint(6, 11)
+        dim = rng.choice((1, 2, 2, 3))
+        faces = list(itertools.combinations(range(1, n + 1), dim + 1))
+        chosen = rng.sample(faces, rng.randint(n, min(len(faces), 3 * n)))
+        if len(frozenset().union(*map(frozenset, chosen))) == n:
+            cases.append((f"random{k}-n{n}-d{dim}", SimplicialComplex(dim, chosen)))
+    return cases
+
+
+# the edges of these have more symmetry than their triangles, with the
+# same number of triangles on each edge, so only the facet check rejects
+EDGE_SYMMETRIC = [
+    ("edges4-aut2", SimplicialComplex(2, [(1, 2, 6), (1, 3, 5), (1, 4, 6),
+                                          (1, 5, 6), (2, 3, 6), (2, 4, 5)])),
+    ("edges8-aut4", SimplicialComplex(2, [(1, 2, 6), (1, 3, 4), (1, 5, 6),
+                                          (2, 3, 4), (2, 3, 5), (4, 5, 6)])),
+]
+
+CHAIN_CASES = (small_kp_and_duals()
+               + [("figure1", parse_complex(read_fixture("figure1.txt")))]
+               + kp_minus_one_facet()
+               + random_pure_complexes()
+               + EDGE_SYMMETRIC)
+
+
+class TestStabilizerChain:
+    @pytest.mark.parametrize("name,K", CHAIN_CASES, ids=[c[0] for c in CHAIN_CASES])
+    def test_matches_reference(self, name, K):
+        expected = reference_automorphisms(K)
+        assert automorphisms(K) == expected
+        assert automorphism_count(K) == len(expected)
+
+    def test_cases_include_small_and_trivial_groups(self):
+        orders = [automorphism_count(K) for name, K in random_pure_complexes()]
+        assert len(orders) >= 15
+        assert orders.count(1) >= 3
+        assert any(1 < o <= 12 for o in orders)
+
+    @given(st.sampled_from([p for m in range(2, 6) for p in enumerate_partitions(m)]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_relabelled_kp(self, p, rnd):
+        K = build_kp(p)
+        labels = rnd.sample(range(1, 40), len(K.vertices))
+        phi = dict(zip(K.vertices, labels))
+        K2 = SimplicialComplex(K.dim, [[phi[v] for v in f] for f in K.facets])
+        conjugated = [Permutation({phi[v]: phi[g(v)] for v in K.vertices})
+                      for g in automorphisms(K)]
+        conjugated.sort(key=lambda q: sorted(q.mapping.items()))
+        assert automorphisms(K2) == conjugated
+        assert automorphism_count(K2) == aut_formula(p)
+
+    def test_audit_rejects_a_non_automorphism(self, monkeypatch):
+        K = build_kp(Partition.from_spec("1|2,3"))
+        swap = {v: v for v in K.vertices} | {1: 2, 2: 1}
+        assert {frozenset(swap[v] for v in f) for f in K.facets} != K.facets
+        inst = _Instance(K.facets)
+        wrong = tuple(inst.idx[swap[v]] for v in inst.verts)
+        monkeypatch.setattr(_bijections._Search, "first", lambda self, cands: wrong)
+        with pytest.raises(AssertionError, match="audit"):
+            automorphism_count(K)
+        with pytest.raises(AssertionError, match="audit"):
+            automorphisms(K)
+
+    def test_audit_rejects_a_non_bijection(self, monkeypatch):
+        K = build_kp(Partition.from_spec("1|2|3"))
+        monkeypatch.setattr(_bijections._Search, "first",
+                            lambda self, cands: (0,) * self.n)
+        with pytest.raises(AssertionError, match="audit"):
+            automorphism_count(K)
 
 
 class TestOrbits:
