@@ -16,7 +16,10 @@ whether w lies in the orbit of b_d under G_d; the bijection it finds is
 the transversal element T_d[w] (Sims 1970; Seress, *Permutation Group
 Algorithms*, 2003, ch. 4).  By orbit-stabilizer, |Aut| = prod |T_d|, and
 every automorphism is exactly one product t_0 t_1 ... with t_d in T_d.
-Each transversal element is audited against the facet family.
+Each transversal element is audited against the facet family.  The
+non-identity transversal elements generate Aut; :func:`automorphism_generators`
+keeps the ones each level needs, which is how the metric layer gets the
+automorphisms of a graph (its edges as 2-sets) from the same routine.
 
 Intended for desk-scale inputs (at most ~16 vertices); callers enforce
 their own guards.
@@ -41,7 +44,7 @@ class _Instance:
         fsize = len(next(iter(nfac)))
         full = frozenset(range(self.n))
         # check whichever of the two mirror families has smaller members
-        if self.n - fsize < fsize:
+        if 0 < self.n - fsize < fsize:
             self.family = [full - f for f in nfac]
         else:
             self.family = nfac
@@ -191,11 +194,11 @@ def _audit(inst: _Instance, images) -> None:
 
 
 def _stabilizer_chain(facets) -> list:
-    """Transversals T_0, T_1, ... of Aut along the search's vertex order.
+    """Base points and transversals (b_0, T_0), (b_1, T_1), ... of Aut.
 
-    ``T_d`` lists one automorphism for each image of the base point
-    ``order[d]`` under the pointwise stabilizer of ``order[:d]``, the
-    identity first; each is an image tuple as in
+    The base is the search's vertex order.  ``T_d`` lists one automorphism
+    for each image of ``b_d`` under the pointwise stabilizer of
+    ``b_0..b_{d-1}``, the identity first; each is an image tuple as in
     :func:`all_automorphism_images`.
     """
     inst = _Instance(facets)
@@ -217,13 +220,39 @@ def _stabilizer_chain(facets) -> list:
                 level.append(images)
         cands[v] = (v,)
         fixed |= 1 << v
-        chain.append(level)
+        chain.append((v, level))
     return chain
 
 
 def automorphism_group_order(facets) -> int:
     """|Aut| of the facet family, as the product of the transversal sizes."""
-    return math.prod(len(level) for level in _stabilizer_chain(facets))
+    return math.prod(len(level) for _, level in _stabilizer_chain(facets))
+
+
+def automorphism_generators(facets) -> list:
+    """Transversal elements that generate Aut, as image tuples; no identity.
+
+    Levels are read from the deepest up.  An element of ``T_d`` is kept
+    only when it sends b_d outside the orbit of b_d under the elements
+    kept so far.  The kept elements then generate a subgroup of G_d whose
+    orbit of b_d is the whole basic orbit and whose stabilizer of b_d
+    contains G_{d+1}, so by orbit-stabilizer they generate G_d itself.
+    """
+    gens = []
+    for base, level in reversed(_stabilizer_chain(facets)):
+        orbit = {base}
+        for t in level[1:]:
+            if t[base] in orbit:
+                continue
+            gens.append(t)
+            todo = list(orbit)
+            while todo:
+                x = todo.pop()
+                for g in gens:
+                    if g[x] not in orbit:
+                        orbit.add(g[x])
+                        todo.append(g[x])
+    return gens
 
 
 def all_automorphism_images(facets):
@@ -234,7 +263,7 @@ def all_automorphism_images(facets):
     The pointwise stabilizer of the first base point is built as a list;
     its cosets are streamed one transversal element at a time.
     """
-    chain = _stabilizer_chain(facets)
+    chain = [level for _, level in _stabilizer_chain(facets)]
     stabilizer = [chain[0][0]]  # the identity
     for level in reversed(chain[1:]):
         if len(level) > 1:

@@ -168,37 +168,49 @@ def _simplicial_report(K: SimplicialComplex, bound: int):
 
 
 def _embeddability_report(G: Graph, bound: int):
-    pairs = []
-    try:
-        hyper = kgonal_violations(G, bound)
-    except ValueError as exc:
-        pairs.append(("5-gonal", f"skipped ({exc})"))
-        pairs.append((f"hypermetric (bound {bound})", f"skipped ({exc})"))
-    else:
-        # the bound-2 (5-gonal) vectors: sum |b_i| <= 5, in the same order
-        gonal5 = [v for v in hyper
-                  if sum(abs(c) for _, c in v.coefficients) <= 5]
-        pairs.append(("5-gonal", "ok" if not gonal5
-                      else f"violated by b={dict(gonal5[0].coefficients)}"))
-        pairs.append((f"hypermetric (bound {bound})", "ok" if not hyper
-                      else f"violated by b={dict(hyper[0].coefficients)}"))
-    try:
-        dec = cut_cone_decompose(G)
-    except GuardExceeded:
-        pairs.append(("cut cone", "skipped (vertex guard)"))
-    except ValueError as exc:
-        pairs.append(("cut cone", f"skipped ({exc})"))
-    else:
-        pairs.append(("cut cone", "feasible (L1-embeddable)" if dec
-                      else "infeasible (NOT embeddable at any scale)"))
+    """The four embeddability lines, probed in the order of their certificates.
+
+    A partial-cube labelling is a cut decomposition with unit weights, so
+    the cut-cone LP runs only when there is none.  An L1 metric satisfies
+    every hypermetric inequality, so the k-gonal search runs only when
+    neither proves L1-embeddability.
+    """
     try:
         labeling = partial_cube(G)
     except ValueError as exc:
-        pairs.append(("partial cube", f"skipped ({exc})"))
+        labeling, cube = None, f"skipped ({exc})"
     else:
-        pairs.append(("partial cube",
-                      f"yes (dimension {labeling.dimension})" if labeling else "no"))
-    return pairs
+        cube = f"yes (dimension {labeling.dimension})" if labeling else "no"
+    l1 = labeling is not None
+    if l1:
+        cone = "feasible (L1-embeddable)"
+    else:
+        try:
+            l1 = cut_cone_decompose(G) is not None
+        except GuardExceeded:
+            cone = "skipped (vertex guard)"
+        except ValueError as exc:
+            cone = f"skipped ({exc})"
+        else:
+            cone = ("feasible (L1-embeddable)" if l1
+                    else "infeasible (NOT embeddable at any scale)")
+    if l1:
+        gonal5 = hyper = "ok"
+    else:
+        try:
+            found = kgonal_violations(G, bound)
+        except ValueError as exc:
+            gonal5 = hyper = f"skipped ({exc})"
+        else:
+            # the bound-2 (5-gonal) vectors: sum |b_i| <= 5, in the same order
+            short = [v for v in found
+                     if sum(abs(c) for _, c in v.coefficients) <= 5]
+            gonal5 = (f"violated by b={dict(short[0].coefficients)}" if short
+                      else "ok")
+            hyper = (f"violated by b={dict(found[0].coefficients)}" if found
+                     else "ok")
+    return [("5-gonal", gonal5), (f"hypermetric (bound {bound})", hyper),
+            ("cut cone", cone), ("partial cube", cube)]
 
 
 def _quad_report(Q: Quadrillage, bound: int):
@@ -281,6 +293,13 @@ def cmd_embed(args) -> int:
     return 0
 
 
+def _hypermetric_bound(text: str) -> int:
+    """``--hypermetric-bound``: an integer >= 2 (2 is the 5-gonal bound)."""
+    if not text.isdigit() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shortlinks",
@@ -300,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="full report on a complex file")
     p_analyze.add_argument("file")
-    p_analyze.add_argument("--hypermetric-bound", type=int, default=3)
+    p_analyze.add_argument("--hypermetric-bound", type=_hypermetric_bound,
+                           default=3)
     p_analyze.add_argument("--tsv", action="store_true",
                            help="machine-readable key<TAB>value output")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -311,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="the file is in the graph format")
     p_embed.add_argument("--scale", type=int)
     p_embed.add_argument("--dim", type=int)
-    p_embed.add_argument("--hypermetric-bound", type=int, default=3)
+    p_embed.add_argument("--hypermetric-bound", type=_hypermetric_bound,
+                         default=3)
     p_embed.set_defaults(func=cmd_embed)
     return parser
 

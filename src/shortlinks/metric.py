@@ -5,7 +5,11 @@ binary addresses whose Hamming distances are exactly lambda times the
 path-metric; scale 1 is the partial-cube case.  Necessary conditions come
 from the hypermetric (in particular 5-gonal) inequalities; the exact
 decision is membership of the metric in the cut cone, solved here as an
-exact rational feasibility problem over all cuts.
+exact rational feasibility problem.  The metric is invariant under the
+graph's automorphisms, so the problem is posed on orbits of cuts and of
+vertex pairs: an Aut-invariant decomposition exists whenever any does.
+Each decomposition found is expanded to every cut of its orbits and
+audited over all vertex pairs without using the group.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
+from ._bijections import automorphism_generators
 from .errors import GuardExceeded
 from .exactlp import solve_nonnegative
 
@@ -98,12 +103,26 @@ class Graph:
         """Path-metric (number of hops on a shortest path)."""
         return self._distance_rows()[self._index[u]][self._index[v]]
 
+    def _reach(self, v) -> set:
+        reach = {v}
+        stack = [v]
+        while stack:
+            for w in self._adj[stack.pop()]:
+                if w not in reach:
+                    reach.add(w)
+                    stack.append(w)
+        return reach
+
     def is_connected(self) -> bool:
-        try:
-            self._distance_rows()
-        except ValueError:
-            return False
-        return True
+        return len(self._reach(self.vertices[0])) == self.num_vertices
+
+    def component(self, v) -> "Graph":
+        """The connected component containing v, as a graph of its own
+        (the graph itself when it is connected)."""
+        reach = self._reach(v)
+        if len(reach) == self.num_vertices:
+            return self
+        return Graph(reach, (e for e in self.edges if e[0] in reach))
 
     def is_bipartite(self) -> bool:
         color = {}
@@ -368,13 +387,69 @@ class CutDecomposition:
         return total
 
 
-def cut_cone_decompose(G: Graph):
-    """Exact cut-cone membership of the path-metric.
+def _orbits(items, moves) -> list:
+    """Orbits of ``items`` under the group generated by the maps ``moves``."""
+    seen = set()
+    orbits = []
+    for x in items:
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:
+            for move in moves:
+                z = move(y)
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        orbits.append(orbit)
+    return orbits
 
-    Feasibility of d = sum w_S delta_S with w >= 0 over all cuts is decided
-    by the exact phase-1 simplex; a decomposition certificate is returned,
-    or None when the metric is provably outside the cut cone (hence not
-    L1-embeddable, hence not hypercube-embeddable at any scale).
+
+def _cut_mover(images, n: int):
+    """The action of a vertex permutation on cuts as bitmasks with bit 0 clear.
+
+    The mask is mapped one byte at a time through tables of 2^min(8, n - lo)
+    entries (the image of each subset of vertices lo..lo+7), then replaced
+    by its complement if the image side holds vertex 0.
+    """
+    tables = []
+    for lo in range(0, n, 8):
+        table = [0]
+        for b in range(lo, min(lo + 8, n)):
+            bit = 1 << images[b]
+            table += [t | bit for t in table]
+        tables.append((lo, table))
+    full = (1 << n) - 1
+
+    def move(S: int) -> int:
+        T = 0
+        for lo, table in tables:
+            T |= table[S >> lo & 255]
+        return T ^ full if T & 1 else T
+
+    return move
+
+
+def cut_cone_decompose(G: Graph):
+    """Exact cut-cone membership of the path-metric, solved on cut orbits.
+
+    The path-metric d is invariant under Aut(G), so averaging any
+    decomposition d = sum w_S delta_S (w >= 0) over the group gives one
+    that is constant on each orbit of cuts.  The exact phase-1 simplex
+    therefore solves a reduced system: one column per cut orbit (the sum
+    of its delta_S) and one row per orbit of vertex pairs (the equations
+    of one orbit coincide).  Generators of Aut(G) come from the stabilizer
+    chain of the edges as 2-sets; cuts are bitmasks of their side without
+    the base vertex, mapped through each generator by per-byte lookup
+    tables.  Every cut of an orbit gets that orbit's weight, and the
+    decomposition is audited over all pairs without using the group.
+
+    Returns the decomposition, or None when the metric is provably outside
+    the cut cone (hence not L1-embeddable, hence not hypercube-embeddable
+    at any scale).  The decomposition is Aut-invariant, so it may differ
+    from a one-column-per-cut solution, and :func:`embedding_from_cuts`
+    may give it a different scale or dimension.
     """
     n = G.num_vertices
     if n > CUT_CONE_VERTEX_GUARD:
@@ -382,29 +457,27 @@ def cut_cone_decompose(G: Graph):
             f"cut-cone solver is limited to {CUT_CONE_VERTEX_GUARD} vertices, "
             f"graph has {n}")
     verts = G.vertices
-    pairs = list(itertools.combinations(verts, 2))
-    rhs = [G.distance(u, v) for u, v in pairs]
+    dist = G._distance_rows()
+    pairs = list(itertools.combinations(range(n), 2))
+    metric = {(verts[i], verts[j]): dist[i][j] for i, j in pairs}
     if n == 1:
-        return CutDecomposition(weights={}, vertices=verts, metric={})
-    base = verts[0]
-    others = verts[1:]
-    cuts = []
-    columns = []
-    for r in range(1, len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            S = frozenset(combo)
-            cuts.append(S)
-            columns.append([1 if ((u in S) != (v in S)) else 0
-                            for u, v in pairs])
-    solution = solve_nonnegative(columns, rhs)
+        return CutDecomposition(weights={}, vertices=verts, metric=metric)
+    gens = automorphism_generators(G.edges)
+    # a cut is the bitmask of its side without vertex 0: bit 0 is clear
+    cut_orbits = _orbits(range(2, 1 << n, 2), [_cut_mover(g, n) for g in gens])
+    pair_movers = [lambda p, g=g: tuple(sorted((g[p[0]], g[p[1]]))) for g in gens]
+    reps = [orbit[0] for orbit in _orbits(pairs, pair_movers)]
+    columns = [[sum((S >> i ^ S >> j) & 1 for S in orbit) for i, j in reps]
+               for orbit in cut_orbits]
+    solution = solve_nonnegative(columns, [dist[i][j] for i, j in reps])
     if solution is None:
         return None
-    weights = {cuts[j]: w for j, w in enumerate(solution) if w > 0}
-    dec = CutDecomposition(
-        weights=weights,
-        vertices=verts,
-        metric={(u, v): G.distance(u, v) for u, v in pairs},
-    )
+    weights = {}
+    for orbit, w in zip(cut_orbits, solution):
+        if w > 0:
+            for S in orbit:
+                weights[frozenset(verts[b] for b in range(1, n) if S >> b & 1)] = w
+    dec = CutDecomposition(weights=weights, vertices=verts, metric=metric)
     for (u, v), d in dec.metric.items():
         if dec.separation(u, v) != d:
             raise AssertionError("cut decomposition failed its audit")

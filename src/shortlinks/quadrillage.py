@@ -196,14 +196,16 @@ def zone_is_convex(Q: Quadrillage, zone: Zone) -> bool:
     """Is the zone band isometric in the skeleton?
 
     Every pair of band vertices must be as close inside the band as in the
-    whole skeleton.  Only defined for simple zones.
+    skeleton.  The band is connected, so distances are read in its own
+    component of the skeleton, which is defined even when the skeleton is
+    disconnected.  Only defined for simple zones.
     """
     if not zone_is_simple(Q, zone):
         raise ValueError("convexity is only defined for simple zones")
     band = zone_band(Q, zone)
-    skel = Q.skeleton()
+    part = Q.skeleton().component(band.vertices[0])
     for u, v in itertools.combinations(band.vertices, 2):
-        if band.distance(u, v) != skel.distance(u, v):
+        if band.distance(u, v) != part.distance(u, v):
             return False
     return True
 
@@ -214,8 +216,12 @@ def embeddable_by_zones(Q: Quadrillage) -> bool:
     True exactly when all zones are simple and convex.  The criterion is
     stated for sphere or disk quadrillages with bipartite skeleton; inputs
     that fail those preconditions are flagged with a warning and the
-    verdict is still computed.
+    verdict is still computed.  It is a claim about the metric of the whole
+    skeleton, so a disconnected skeleton raises ``ValueError``.
     """
+    skel = Q.skeleton()
+    if not skel.is_connected():
+        raise ValueError("graph is disconnected; the path-metric is undefined")
     chi = Q.euler_characteristic()
     expected = 2 if Q.is_closed else 1
     if chi != expected:
@@ -223,7 +229,7 @@ def embeddable_by_zones(Q: Quadrillage) -> bool:
             f"quadrillage is not a sphere or disk (Euler characteristic "
             f"{chi}, expected {expected}); the zone criterion may not apply",
             stacklevel=2)
-    if not Q.skeleton().is_bipartite():
+    if not skel.is_bipartite():
         warnings.warn("skeleton is not bipartite; the zone criterion may "
                       "not apply", stacklevel=2)
     for zone in zones(Q):

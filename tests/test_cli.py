@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from shortlinks import Partition, kp_summary
+from shortlinks import Partition, cli, grid, kp_summary
 from shortlinks.cli import _verify_row, main, skeleton_name
 from shortlinks.formats import parse_complex
 
@@ -172,6 +172,47 @@ class TestEmbed:
         assert "instance too large" in err
 
 
+class TestCertificateOrder:
+    def test_partial_cube_past_the_cut_cone_guard(self, capsys):
+        code, out, err = run_cli(capsys, "analyze",
+                                 str(FIXTURES / "dual_cuboctahedron.txt"))
+        assert code == 0 and err == ""
+        report = report_lines(out)
+        assert report["vertices"] == "14"
+        assert report["cut cone"] == "feasible (L1-embeddable)"
+        assert report["partial cube"] == "yes (dimension 4)"
+        assert report["5-gonal"] == report["hypermetric (bound 3)"] == "ok"
+
+    def test_l1_graphs_skip_the_kgonal_search(self, capsys, tmp_path, monkeypatch):
+        def refuse(G, bound):
+            raise AssertionError("k-gonal search run on an L1-embeddable graph")
+        monkeypatch.setattr(cli, "kgonal_violations", refuse)
+        Q = grid(5, 5)  # 36 vertices, a partial cube
+        f = tmp_path / "grid55.txt"
+        f.write_text(f"quad {Q.num_vertices}\n"
+                     + "".join(" ".join(map(str, face)) + "\n" for face in Q.faces))
+        code, out, err = run_cli(capsys, "analyze", str(f))
+        assert code == 0 and err == ""
+        report = report_lines(out)
+        assert report["partial cube"] == "yes (dimension 10)"
+        assert report["cut cone"] == "feasible (L1-embeddable)"
+        assert report["5-gonal"] == report["hypermetric (bound 3)"] == "ok"
+        # K6 - 3K2 is not a partial cube; its cut decomposition decides
+        code, out, err = run_cli(capsys, "embed", str(FIXTURES / "k6_3k2.txt"),
+                                 "--graph")
+        assert code == 0 and err == ""
+        assert report_lines(out)["partial cube"] == "no"
+        assert report_lines(out)["hypermetric (bound 3)"] == "ok"
+
+    @pytest.mark.parametrize("bound", ["1", "0", "x"])
+    def test_hypermetric_bound_below_two_is_an_input_error(self, capsys, bound):
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", str(FIXTURES / "k5_k2.txt"), "--graph",
+                  "--hypermetric-bound", bound])
+        assert exc.value.code == 2
+        assert "--hypermetric-bound" in capsys.readouterr().err
+
+
 DISCONNECTED = "skipped (graph is disconnected; the path-metric is undefined)"
 EMBEDDABILITY_KEYS = ("5-gonal", "hypermetric (bound 3)", "cut cone",
                       "partial cube")
@@ -215,7 +256,7 @@ class TestDisconnectedInput:
         assert code == 0 and err == ""
         report = report_lines(out)
         assert report["zones"] == "2"
-        assert report["zones convex"] == DISCONNECTED
+        assert report["zones convex"] == "yes"
         assert report["embeddable by zones"] == DISCONNECTED
         assert report["5-gonal"] == DISCONNECTED
         assert report["hypermetric (bound 3)"] == DISCONNECTED

@@ -27,3 +27,9 @@ def test_simplicial_is_the_bottom_layer():
     imported = {node.module for node in ast.walk(parse(SRC / "simplicial.py"))
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert not imported & {"partitions", "symmetry", "_bijections"}
+
+
+def test_metric_reuses_only_the_group_routine():
+    imported = {node.module for node in ast.walk(parse(SRC / "metric.py"))
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported <= {"errors", "exactlp", "_bijections"}

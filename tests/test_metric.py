@@ -34,7 +34,10 @@ from shortlinks import (
     skeleton,
     torus,
 )
-from shortlinks.formats import parse_complex, parse_graph
+from shortlinks import metric
+from shortlinks.exactlp import solve_nonnegative
+from shortlinks.formats import parse_complex, parse_graph, parse_quadrillage
+from shortlinks.metric import CUT_CONE_VERTEX_GUARD
 
 
 def k5_minus_triangle() -> Graph:
@@ -322,6 +325,119 @@ class TestCutCone:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             cut_cone_decompose(complete_graph(14))
+
+
+def reference_cut_cone(G: Graph):
+    """One column per cut and one row per vertex pair: the solution or None."""
+    verts = G.vertices
+    pairs = list(itertools.combinations(verts, 2))
+    rhs = [G.distance(u, v) for u, v in pairs]
+    columns = []
+    for r in range(1, len(verts)):
+        for combo in itertools.combinations(verts[1:], r):
+            S = frozenset(combo)
+            columns.append([1 if ((u in S) != (v in S)) else 0
+                            for u, v in pairs])
+    return solve_nonnegative(columns, rhs)
+
+
+def complete_minus_families(m_max: int) -> dict:
+    """Every connected K_m - hK_2 and K_m - C_h with m <= m_max, by name."""
+    graphs = {}
+    for m in range(2, m_max + 1):
+        for h in range(m // 2 + 1):
+            graphs[f"K{m}-{h}K2"] = complete_minus_matching(m, h)
+        for h in range(3, m + 1):
+            graphs[f"K{m}-C{h}"] = complete_minus_cycle(m, h)
+    return {name: G for name, G in graphs.items() if G.is_connected()}
+
+
+FAMILIES = complete_minus_families(9)
+SMALL_RANDOM_GRAPHS = [random_connected_graph(random.Random(100 + seed),
+                                              5 + seed % 4)
+                       for seed in range(20)]
+QUAD_FIXTURES = ["cube.txt", "dual_cuboctahedron.txt", "grid_2x3.txt",
+                 "torus_3x4.txt"]
+
+
+def assert_audited(G: Graph, dec: CutDecomposition) -> None:
+    assert dec.vertices == G.vertices
+    assert all(w > 0 for w in dec.weights.values())
+    for u, v in itertools.combinations(G.vertices, 2):
+        assert dec.separation(u, v) == G.distance(u, v)
+
+
+class TestCutConeAgainstReference:
+    @pytest.mark.parametrize("name", GRAPH_FIXTURES)
+    def test_graph_fixtures(self, name):
+        G = parse_graph(read_fixture(name))
+        dec = cut_cone_decompose(G)
+        assert (dec is None) == (reference_cut_cone(G) is None)
+        if dec is not None:
+            assert_audited(G, dec)
+
+    def test_complete_minus_families(self):
+        verdicts = {}
+        for name, G in FAMILIES.items():
+            dec = cut_cone_decompose(G)
+            assert (dec is None) == (reference_cut_cone(G) is None), name
+            verdicts[name] = dec is not None
+        # both verdicts occur: K7 - C5 is outside the cut cone
+        assert not verdicts["K7-C5"] and verdicts["K9-4K2"]
+
+    def test_random_connected_graphs(self):
+        infeasible = 0
+        for G in SMALL_RANDOM_GRAPHS:
+            dec = cut_cone_decompose(G)
+            assert (dec is None) == (reference_cut_cone(G) is None)
+            infeasible += dec is None
+        assert 0 < infeasible < len(SMALL_RANDOM_GRAPHS)
+
+    @pytest.mark.parametrize("m", [10, 11, 12, 13])
+    def test_km_hk2_past_ten_feasible_and_audited(self, m):
+        for h in range(m // 2 + 1):
+            G = complete_minus_matching(m, h)
+            dec = cut_cone_decompose(G)
+            assert dec is not None, (m, h)
+            assert_audited(G, dec)
+
+    def test_decomposition_is_constant_on_cut_orbits(self):
+        # the swap of 1 and 2 (the missing edge) fixes K6 - K2
+        dec = cut_cone_decompose(complete_minus_matching(6, 1))
+        swap = {1: 2, 2: 1}
+        weight = dec.weights.get
+        for S, w in dec.weights.items():
+            image = frozenset(swap.get(v, v) for v in S)
+            if 1 in image:
+                image = frozenset(dec.vertices) - image
+            assert weight(image) == w
+
+    def test_audit_rejects_a_wrong_weight(self, monkeypatch):
+        def off_by_one(columns, rhs):
+            solution = solve_nonnegative(columns, rhs)
+            solution[solution.index(max(solution))] += 1
+            return solution
+        monkeypatch.setattr(metric, "solve_nonnegative", off_by_one)
+        with pytest.raises(AssertionError, match="audit"):
+            cut_cone_decompose(complete_minus_matching(6, 1))
+
+
+class TestL1ImpliesHypermetric:
+    """The implication the CLI relies on to skip the k-gonal search."""
+
+    def test_partial_cubes_and_feasible_cut_cones_are_hypermetric(self):
+        graphs = [parse_graph(read_fixture(name)) for name in GRAPH_FIXTURES]
+        graphs += [parse_quadrillage(read_fixture(name)).skeleton()
+                   for name in QUAD_FIXTURES]
+        graphs += list(FAMILIES.values()) + SMALL_RANDOM_GRAPHS
+        l1 = 0
+        for G in graphs:
+            if partial_cube(G) is not None or (
+                    G.num_vertices <= CUT_CONE_VERTEX_GUARD
+                    and cut_cone_decompose(G) is not None):
+                l1 += 1
+                assert kgonal_violations(G, 3) == []
+        assert 0 < l1 < len(graphs)
 
 
 class TestEmbeddingFromCuts:

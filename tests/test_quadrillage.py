@@ -158,6 +158,36 @@ class TestZoneGeometry:
             zone_is_convex(Q, fake)
 
 
+class TestDisconnectedSkeleton:
+    # one face on vertices 1-4 of 6: vertices 5 and 6 are isolated
+    Q = Quadrillage(6, [(1, 2, 3, 4)])
+
+    def test_zones_are_convex_in_their_component(self):
+        zs = zones(self.Q)
+        assert len(zs) == 2
+        assert all(zone_is_convex(self.Q, z) for z in zs)
+
+    def test_verdicts_unchanged_by_a_disjoint_face(self):
+        # nine faces of the 3-by-4 torus, connected, with a simple zone that
+        # is not convex; a face on four new vertices changes no verdict
+        faces = [(1, 2, 6, 5), (1, 2, 10, 9), (1, 4, 12, 9), (2, 3, 7, 6),
+                 (3, 4, 8, 7), (3, 4, 12, 11), (5, 6, 10, 9), (5, 8, 12, 9),
+                 (7, 8, 12, 11)]
+        Q = Quadrillage(12, faces)
+        both = Quadrillage(16, faces + [(13, 14, 15, 16)])
+        verdict = {z.edges: zone_is_convex(Q, z) for z in zones(Q)
+                   if zone_is_simple(Q, z)}
+        assert False in verdict.values() and True in verdict.values()
+        for z in zones(both):
+            if z.edges in verdict:
+                assert zone_is_convex(both, z) == verdict.pop(z.edges)
+        assert verdict == {}
+
+    def test_zone_criterion_needs_a_connected_skeleton(self):
+        with pytest.raises(ValueError, match="disconnected"):
+            embeddable_by_zones(self.Q)
+
+
 class TestEmbeddableByZones:
     def test_cube(self):
         assert embeddable_by_zones(cube())

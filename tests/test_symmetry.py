@@ -16,14 +16,19 @@ from shortlinks import (
     automorphisms,
     build_kp,
     coxeter_order_bruteforce,
+    complete_minus_matching,
     coxeter_presentation,
+    cycle_graph,
     enumerate_partitions,
+    hypercube_graph,
     kp_summary,
     orbits,
     product_dual,
 )
 from shortlinks import _bijections
-from shortlinks._bijections import _Instance, _vertex_order
+from shortlinks._bijections import (_Instance, _vertex_order,
+                                    automorphism_generators,
+                                    automorphism_group_order)
 from conftest import read_fixture
 from shortlinks.formats import parse_complex
 
@@ -258,6 +263,53 @@ class TestStabilizerChain:
                             lambda self, cands: (0,) * self.n)
         with pytest.raises(AssertionError, match="audit"):
             automorphism_count(K)
+
+
+def generated_group(gens, n: int) -> set:
+    """Closure of the image tuples ``gens`` under composition."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            gh = tuple(g[i] for i in h)
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return group
+
+
+GENERATOR_CASES = (
+    [(name, K.facets) for name, K in CHAIN_CASES
+     if automorphism_count(K) <= 5000]
+    + [("K2", [(1, 2)]), ("P3", [(1, 2), (2, 3)]),
+       ("one-facet", [(1, 2, 3)]),
+       ("C7", cycle_graph(7).edges), ("Q3", hypercube_graph(3).edges),
+       ("K6-3K2", complete_minus_matching(6, 3).edges)])
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("name,facets", GENERATOR_CASES,
+                             ids=[c[0] for c in GENERATOR_CASES])
+    def test_generate_the_whole_group(self, name, facets):
+        inst = _Instance(facets)
+        gens = automorphism_generators(facets)
+        identity = tuple(range(inst.n))
+        for g in gens:
+            assert g != identity
+            assert {frozenset(g[inst.idx[v]] for v in f) for f in facets} == \
+                {frozenset(inst.idx[v] for v in f) for f in facets}
+        assert len(generated_group(gens, inst.n)) == automorphism_group_order(facets)
+
+    def test_fewer_than_the_transversal_elements(self):
+        facets = build_kp(Partition.from_spec("1|2|3|4")).facets
+        chain = _bijections._stabilizer_chain(facets)
+        assert len(automorphism_generators(facets)) < sum(
+            len(level) - 1 for _, level in chain)
+
+    def test_one_facet_complex(self):
+        # the complement of the only facet is empty; the facet family is used
+        assert automorphism_count(SimplicialComplex(2, [(1, 2, 3)])) == 6
 
 
 class TestOrbits:
