@@ -21,6 +21,12 @@ non-identity transversal elements generate Aut; :func:`automorphism_generators`
 keeps the ones each level needs, which is how the metric layer gets the
 automorphisms of a graph (its edges as 2-sets) from the same routine.
 
+Two routines act on any permutations, not only automorphisms:
+:func:`orbit_closure` splits a set into orbits under given maps, and
+:func:`permutation_group_order` runs the deterministic Schreier–Sims
+algorithm on image tuples, so the order of a generated group is read off
+a base and strong generating set without listing its elements.
+
 Intended for desk-scale inputs (at most ~16 vertices); callers enforce
 their own guards.
 """
@@ -198,8 +204,8 @@ def _stabilizer_chain(facets) -> list:
 
     The base is the search's vertex order.  ``T_d`` lists one automorphism
     for each image of ``b_d`` under the pointwise stabilizer of
-    ``b_0..b_{d-1}``, the identity first; each is an image tuple as in
-    :func:`all_automorphism_images`.
+    ``b_0..b_{d-1}``, the identity first; each is an image tuple of
+    positions in the sorted vertex list, indexed by position.
     """
     inst = _Instance(facets)
     order = _vertex_order(inst)
@@ -255,13 +261,15 @@ def automorphism_generators(facets) -> list:
     return gens
 
 
-def all_automorphism_images(facets):
-    """Yield every facet-preserving bijection as an image tuple.
+def all_automorphism_images(facets, labels):
+    """Yield every facet-preserving bijection as a tuple of labels.
 
-    Tuples are indexed by position in the sorted vertex list; the sorted
-    vertex list itself is obtained from ``sorted(set().union(*facets))``.
-    The pointwise stabilizer of the first base point is built as a list;
-    its cosets are streamed one transversal element at a time.
+    Tuples are indexed by position in the sorted vertex list, which is
+    ``sorted(set().union(*facets))``; the entry at position i is
+    ``labels[j]`` for the position j that vertex i is sent to.  The
+    pointwise stabilizer of the first base point is built as a list of
+    position tuples; its cosets are streamed one transversal element at a
+    time, each relabelled once before it is composed.
     """
     chain = [level for _, level in _stabilizer_chain(facets)]
     stabilizer = [chain[0][0]]  # the identity
@@ -270,5 +278,117 @@ def all_automorphism_images(facets):
             stabilizer = [tuple(map(t.__getitem__, h))
                           for t in level for h in stabilizer]
     for t in chain[0]:
-        for h in stabilizer:
-            yield tuple(map(t.__getitem__, h))
+        t = tuple(map(labels.__getitem__, t))
+        yield from map(tuple, map(map, itertools.repeat(t.__getitem__), stabilizer))
+
+
+def orbit_closure(items, moves) -> list:
+    """Orbits of ``items`` under the group generated by the maps ``moves``.
+
+    Each orbit is a list that starts with its first member in ``items``
+    order, followed by the images in the order they were reached.  Images
+    are not checked against ``items``: a caller whose set may not be
+    closed under the maps checks the orbits it gets back.
+    """
+    seen = set()
+    orbits = []
+    for x in items:
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:
+            for move in moves:
+                z = move(y)
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        orbits.append(orbit)
+    return orbits
+
+
+def _then(a, b) -> tuple:
+    """The permutation ``a`` followed by ``b``, as an image tuple."""
+    return tuple(map(b.__getitem__, a))
+
+
+def _inverse(a) -> tuple:
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _transversal(base_point, gens, identity) -> dict:
+    """Orbit of ``base_point`` under the pairs (s, s^-1) in ``gens``, as
+    point -> (u, u^-1) for an element u sending the base point there."""
+    reps = {base_point: (identity, identity)}
+    todo = [base_point]
+    for x in todo:
+        u, u_inv = reps[x]
+        for s, s_inv in gens:
+            y = s[x]
+            if y not in reps:
+                reps[y] = (_then(u, s), _then(s_inv, u_inv))
+                todo.append(y)
+    return reps
+
+
+def permutation_group_order(gens, n: int) -> int:
+    """Order of the group generated by the image tuples ``gens`` on range(n).
+
+    Deterministic Schreier–Sims (Sims 1970; Seress 2003, ch. 4): a base
+    b_0, b_1, ... and strong generators S_i fixing b_0..b_{i-1} are grown
+    until every Schreier generator u_x s u_{s(x)}^-1 of every level sifts
+    to the identity; the order is then the product of the basic orbit
+    lengths.  Only the generators are read, never the order expected of
+    the group.
+    """
+    identity = tuple(range(n))
+    gens = [(g, _inverse(g)) for g in gens if g != identity]
+    base = []
+    for g, _ in gens:
+        if all(g[b] == b for b in base):
+            base.append(next(x for x in range(n) if g[x] != x))
+    strong = [[(g, g_inv) for g, g_inv in gens
+               if all(g[b] == b for b in base[:depth])]
+              for depth in range(len(base))]
+    trans = [_transversal(b, s, identity) for b, s in zip(base, strong)]
+
+    def sift(g):
+        """The residue of ``g`` and the level at which sifting stopped."""
+        for depth, b in enumerate(base):
+            rep = trans[depth].get(g[b])
+            if rep is None:
+                return g, depth
+            g = _then(g, rep[1])
+        return g, len(base)
+
+    def failing_schreier_generator(depth):
+        reps = trans[depth]
+        for x, (u, _) in reps.items():
+            for s, _ in strong[depth]:
+                us = _then(u, s)
+                v, v_inv = reps[s[x]]
+                if us != v:
+                    residue, stop = sift(_then(us, v_inv))
+                    if stop < len(base) or residue != identity:
+                        return residue, stop
+        return None
+
+    depth = len(base) - 1
+    while depth >= 0:
+        failed = failing_schreier_generator(depth)
+        if failed is None:
+            depth -= 1
+            continue
+        residue, stop = failed
+        if stop == len(base):
+            base.append(next(x for x in range(n) if residue[x] != x))
+            strong.append([])
+            trans.append(None)
+        for level in range(depth + 1, stop + 1):
+            strong[level].append((residue, _inverse(residue)))
+            trans[level] = _transversal(base[level], strong[level], identity)
+        depth = stop
+    return math.prod(map(len, trans))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from ._bijections import automorphism_generators
+from ._bijections import automorphism_generators, orbit_closure
 from .errors import GuardExceeded
 from .exactlp import solve_nonnegative
 
@@ -387,25 +387,6 @@ class CutDecomposition:
         return total
 
 
-def _orbits(items, moves) -> list:
-    """Orbits of ``items`` under the group generated by the maps ``moves``."""
-    seen = set()
-    orbits = []
-    for x in items:
-        if x in seen:
-            continue
-        seen.add(x)
-        orbit = [x]
-        for y in orbit:
-            for move in moves:
-                z = move(y)
-                if z not in seen:
-                    seen.add(z)
-                    orbit.append(z)
-        orbits.append(orbit)
-    return orbits
-
-
 def _cut_mover(images, n: int):
     """The action of a vertex permutation on cuts as bitmasks with bit 0 clear.
 
@@ -464,9 +445,9 @@ def cut_cone_decompose(G: Graph):
         return CutDecomposition(weights={}, vertices=verts, metric=metric)
     gens = automorphism_generators(G.edges)
     # a cut is the bitmask of its side without vertex 0: bit 0 is clear
-    cut_orbits = _orbits(range(2, 1 << n, 2), [_cut_mover(g, n) for g in gens])
+    cut_orbits = orbit_closure(range(2, 1 << n, 2), [_cut_mover(g, n) for g in gens])
     pair_movers = [lambda p, g=g: tuple(sorted((g[p[0]], g[p[1]]))) for g in gens]
-    reps = [orbit[0] for orbit in _orbits(pairs, pair_movers)]
+    reps = [orbit[0] for orbit in orbit_closure(pairs, pair_movers)]
     columns = [[sum((S >> i ^ S >> j) & 1 for S in orbit) for i, j in reps]
                for orbit in cut_orbits]
     solution = solve_nonnegative(columns, [dist[i][j] for i, j in reps])

@@ -42,9 +42,13 @@ def _opposite_edge(face, edge) -> frozenset:
 
 
 class Quadrillage:
-    """Quad faces as cyclic 4-tuples; every edge must lie in at most 2 faces."""
+    """Quad faces as cyclic 4-tuples; every edge must lie in at most 2 faces.
 
-    __slots__ = ("num_vertices", "faces", "edge_faces")
+    The skeleton and each zone's convexity verdict are cached on the
+    quadrillage, so every caller shares one graph and its distance rows.
+    """
+
+    __slots__ = ("num_vertices", "faces", "edge_faces", "_skeleton", "_convex")
 
     def __init__(self, num_vertices: int, faces) -> None:
         canon = sorted(_canonical_face(f) for f in faces)
@@ -68,6 +72,8 @@ class Quadrillage:
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "faces", tuple(canon))
         object.__setattr__(self, "edge_faces", dict(edge_faces))
+        object.__setattr__(self, "_skeleton", None)
+        object.__setattr__(self, "_convex", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Quadrillage is immutable")
@@ -96,8 +102,11 @@ class Quadrillage:
         return self.num_vertices - self.num_edges + self.num_faces
 
     def skeleton(self) -> Graph:
-        return Graph(range(1, self.num_vertices + 1),
-                     (tuple(sorted(e)) for e in self.edge_faces))
+        if self._skeleton is None:
+            object.__setattr__(self, "_skeleton", Graph(
+                range(1, self.num_vertices + 1),
+                (tuple(sorted(e)) for e in self.edge_faces)))
+        return self._skeleton
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quadrillage):
@@ -198,16 +207,19 @@ def zone_is_convex(Q: Quadrillage, zone: Zone) -> bool:
     Every pair of band vertices must be as close inside the band as in the
     skeleton.  The band is connected, so distances are read in its own
     component of the skeleton, which is defined even when the skeleton is
-    disconnected.  Only defined for simple zones.
+    disconnected.  Only defined for simple zones.  The verdict is cached
+    on ``Q``.
     """
     if not zone_is_simple(Q, zone):
         raise ValueError("convexity is only defined for simple zones")
-    band = zone_band(Q, zone)
-    part = Q.skeleton().component(band.vertices[0])
-    for u, v in itertools.combinations(band.vertices, 2):
-        if band.distance(u, v) != part.distance(u, v):
-            return False
-    return True
+    verdict = Q._convex.get(zone)
+    if verdict is None:
+        band = zone_band(Q, zone)
+        part = Q.skeleton().component(band.vertices[0])
+        verdict = all(band.distance(u, v) == part.distance(u, v)
+                      for u, v in itertools.combinations(band.vertices, 2))
+        Q._convex[zone] = verdict
+    return verdict
 
 
 def embeddable_by_zones(Q: Quadrillage) -> bool:

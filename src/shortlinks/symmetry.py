@@ -5,63 +5,82 @@ first-solution backtracking search per candidate image decides each
 basic orbit and supplies its transversal element.  |Aut| is the product
 of the transversal sizes, and the automorphisms are the products of one
 element per transversal, so neither needs a walk over every group
-element.  Isomorphisms come from the same search stopped at its first
-solution; orbits are computed from generator applications.
+element.  A :class:`Permutation` is its tuple of images; the
+permutations of one :func:`automorphisms` call share a single
+vertex-to-position index, and a mapping dict is built only on request.
+Isomorphisms come from the same search stopped at its first solution.
+Orbits are computed from generator applications: on the vertex set the
+orbits are merged as blocks, and a permutation that keeps every block in
+place costs one comparison.
 The reflection group Cox(K) attached to a partition is realized on a
-small permutation domain and its order is obtained by explicit closure,
-so the closed-form orders elsewhere in the package can be checked against
+small permutation domain by transpositions, and its order is computed by
+the Schreier–Sims algorithm from those generators alone, so the
+closed-form orders elsewhere in the package can be checked against
 something that does not share their algebra.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 from ._bijections import (all_automorphism_images, automorphism_group_order,
-                          find_bijection)
+                          find_bijection, orbit_closure,
+                          permutation_group_order)
 from .errors import GuardExceeded
 from .partitions import classify
 from .simplicial import Partition, SimplicialComplex
 
 AUTOMORPHISM_VERTEX_GUARD = 12
-COXETER_ORDER_GUARD = 10 ** 7
 
 
 class Permutation:
-    """A bijection on a finite set of vertex ids."""
+    """A bijection on a finite set of vertex ids.
 
-    __slots__ = ("mapping", "_key")
+    ``_key`` lists the images in sorted domain order, which determines
+    the bijection (its domain is the set of the images); ``_pos`` maps
+    each domain vertex to its position in ``_key``.
+    """
+
+    __slots__ = ("_key", "_pos")
 
     def __init__(self, mapping: dict) -> None:
         if set(mapping) != set(mapping.values()):
             raise ValueError("mapping is not a bijection on its domain")
-        object.__setattr__(self, "mapping", dict(mapping))
-        # the images in domain order determine a bijection: its domain is their set
-        object.__setattr__(self, "_key", tuple(mapping[v] for v in sorted(mapping)))
+        verts = sorted(mapping)
+        object.__setattr__(self, "_key", tuple(map(mapping.__getitem__, verts)))
+        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(verts)})
 
     @classmethod
-    def _from_images(cls, verts, images) -> "Permutation":
-        """``verts[i] -> verts[images[i]]``, for sorted ``verts`` and an
-        ``images`` tuple already known to be a permutation of the indices."""
-        perm = object.__new__(cls)
-        key = tuple(map(verts.__getitem__, images))
-        object.__setattr__(perm, "mapping", dict(zip(verts, key)))
-        object.__setattr__(perm, "_key", key)
-        return perm
+    def _from_keys(cls, keys, pos) -> list:
+        """One permutation ``v -> key[pos[v]]`` per key, all sharing ``pos``,
+        which indexes the sorted domain; each key must already be known to
+        be a permutation of that domain."""
+        new, set_key, set_pos = object.__new__, cls._key.__set__, cls._pos.__set__
+        perms = []
+        for key in keys:
+            perm = new(cls)
+            set_key(perm, key)
+            set_pos(perm, pos)
+            perms.append(perm)
+        return perms
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
+    @property
+    def mapping(self) -> dict:
+        """A new dict ``vertex -> image``, in sorted vertex order."""
+        return dict(zip(self._pos, self._key))
+
     def __call__(self, v):
-        return self.mapping[v]
+        return self._key[self._pos[v]]
 
     def apply(self, element):
         """Image of a vertex or of a face (any iterable of vertices)."""
+        key, pos = self._key, self._pos
         if isinstance(element, int):
-            return self.mapping[element]
-        return frozenset(self.mapping[v] for v in element)
+            return key[pos[element]]
+        return frozenset(key[pos[v]] for v in element)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
@@ -72,7 +91,7 @@ class Permutation:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        moved = {v: w for v, w in sorted(self.mapping.items()) if v != w}
+        moved = {v: w for v, w in zip(self._pos, self._key) if v != w}
         return f"Permutation({moved or 'id'})"
 
 
@@ -87,10 +106,9 @@ def automorphisms(K: SimplicialComplex) -> list:
     """All vertex permutations of ``K`` preserving its facet set."""
     _check_vertex_guard(K)
     verts = K.vertices
-    perms = [Permutation._from_images(verts, im)
-             for im in all_automorphism_images(K.facets)]
-    perms.sort(key=lambda p: p._key)
-    return perms
+    pos = {v: i for i, v in enumerate(verts)}
+    return Permutation._from_keys(
+        sorted(all_automorphism_images(K.facets, verts)), pos)
 
 
 def automorphism_count(K: SimplicialComplex) -> int:
@@ -134,35 +152,64 @@ def orbits(perms, domain) -> list:
 
     Domain elements are vertices (ints) or faces (iterables of vertices);
     the given permutations are treated as generators, so callers need not
-    pass a whole group.  Orbits are returned sorted by their smallest
-    element.
+    pass a whole group.  Orbits are returned as sets sorted by their
+    smallest element.  A domain that the permutations map outside of
+    raises ``ValueError``.
     """
     norm = [e if isinstance(e, int) else frozenset(e) for e in domain]
-    pending = set(norm)
+    perms = list(perms)
+    if perms and _is_common_vertex_set(perms, norm):
+        return _vertex_blocks(perms)
+    members = set(norm)
     result = []
-    while pending:
-        seed = min(pending, key=_orbit_sort_key)
-        orbit = {seed}
-        queue = deque([seed])
-        while queue:
-            x = queue.popleft()
-            for p in perms:
-                y = p.apply(x)
-                if y not in orbit:
-                    if y not in pending:
-                        raise ValueError(
-                            f"domain is not closed under the permutations: "
-                            f"reached {y}")
-                    orbit.add(y)
-                    queue.append(y)
-        result.append(orbit)
-        pending -= orbit
-    result.sort(key=lambda o: _orbit_sort_key(min(o, key=_orbit_sort_key)))
+    for orbit in orbit_closure(sorted(members, key=_orbit_sort_key),
+                               [p.apply for p in perms]):
+        outside = [y for y in orbit if y not in members]
+        if outside:
+            raise ValueError(f"domain is not closed under the permutations: "
+                             f"reached {outside[0]}")
+        result.append(set(orbit))
     return result
 
 
 def _orbit_sort_key(x):
     return (0, x, ()) if isinstance(x, int) else (1, min(x), tuple(sorted(x)))
+
+
+def _is_common_vertex_set(perms, norm) -> bool:
+    """Is ``norm`` exactly the domain of every permutation, listed once each?"""
+    pos = perms[0]._pos
+    if len(norm) != len(pos) or not all(type(e) is int for e in norm):
+        return False
+    return set(norm) == pos.keys() and all(
+        p._pos is pos or p._pos.keys() == pos.keys() for p in perms)
+
+
+def _vertex_blocks(perms) -> list:
+    """Orbits on the common vertex set, by merging the blocks of v and p(v).
+
+    ``block[v]`` is the smallest vertex of v's block and ``labels`` lists
+    the blocks of the vertices in order.  Once p(v) shares a block with v
+    for every v, p maps each block into itself, so a permutation whose
+    image labels equal ``labels`` is skipped.
+    """
+    verts = list(perms[0]._pos)
+    block = {v: v for v in verts}
+    members = {v: [v] for v in verts}
+    labels = verts[:]
+    for p in perms:
+        if list(map(block.__getitem__, p._key)) == labels:
+            continue
+        for v, w in zip(verts, p._key):
+            a, b = block[v], block[w]
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                for u in members[b]:
+                    block[u] = a
+                members[a] += members.pop(b)
+        labels = list(map(block.__getitem__, verts))
+    return [set(members[a]) for a in sorted(members)]
 
 
 @dataclass(frozen=True)
@@ -198,34 +245,18 @@ def coxeter_order_bruteforce(p: Partition) -> int:
     """Order of the generated permutation group realizing the presentation.
 
     Each generator g_i (i in part P_j) acts as the transposition (i, aux_j)
-    on P_j plus one auxiliary point per part; the group is closed by
-    breadth-first products.  Must equal the product of (|P_i|+1)!.
+    on P_j plus one auxiliary point per part; the order of the group they
+    generate is computed by Schreier–Sims from these transpositions alone.
+    Must equal the product of (|P_i|+1)!.
     """
-    expected = math.prod(math.factorial(len(part) + 1) for part in p.parts)
-    if expected > COXETER_ORDER_GUARD:
-        raise GuardExceeded(
-            f"coxeter closure is limited to {COXETER_ORDER_GUARD} elements, "
-            f"presentation would generate {expected}")
     points = sorted(p.ground_set)
     index = {v: k for k, v in enumerate(points)}
     size = len(points) + p.t
-    tables = []
+    gens = []
     for j, part in enumerate(p.parts):
         aux = len(points) + j
         for i in sorted(part):
-            table = list(range(size))
-            table[index[i]], table[aux] = table[aux], table[index[i]]
-            tables.append(bytes(table) + bytes(range(size, 256)))
-    identity = bytes(range(size))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for element in frontier:
-            for table in tables:
-                product = element.translate(table)
-                if product not in seen:
-                    seen.add(product)
-                    new.append(product)
-        frontier = new
-    return len(seen)
+            images = list(range(size))
+            images[index[i]], images[aux] = aux, index[i]
+            gens.append(tuple(images))
+    return permutation_group_order(gens, size)

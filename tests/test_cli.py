@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from shortlinks import Partition, cli, grid, kp_summary
+from shortlinks import (Graph, Partition, cli, formats, grid, kp_summary,
+                        quadrillage, symmetry)
 from shortlinks.cli import _verify_row, main, skeleton_name
 from shortlinks.formats import parse_complex
 
@@ -94,6 +95,22 @@ class TestAnalyze:
         assert "zones simple: yes" in out
         assert "zones convex: yes" in out
         assert "embeddable by zones: yes" in out
+
+    def test_quad_report_decides_each_zone_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "grid.txt"
+        path.write_text(formats.serialize_quadrillage(grid(3, 4)), encoding="utf-8")
+        bands, graphs = [], []
+        band = quadrillage.zone_band
+        monkeypatch.setattr(quadrillage, "zone_band",
+                            lambda Q, z: bands.append(z) or band(Q, z))
+        monkeypatch.setattr(quadrillage, "Graph",
+                            lambda *a: graphs.append(a) or Graph(*a))
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        assert "zones: 7" in out and "embeddable by zones: yes" in out
+        assert len(bands) == len(set(bands)) == 7
+        # the skeleton, then one band per zone
+        assert len(graphs) == 1 + 7
 
     def test_tsv_mode(self, capsys):
         code, out, _ = run_cli(capsys, "analyze",
@@ -334,6 +351,14 @@ class TestHelpers:
         assert skeleton_name(6, 0) == "K6"
         assert skeleton_name(5, 1) == "K5-K2"
         assert skeleton_name(10, 5) == "K10-5K2"
+
+    def test_rows_are_verified_without_listing_the_group(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table listed a whole group")
+        monkeypatch.setattr(symmetry, "all_automorphism_images", refuse)
+        for spec in ("1,2,3,4,5", "1|2|3|4", "1,2|3,4,5|6"):
+            p = Partition.from_spec(spec)
+            assert _verify_row(p, kp_summary(p)) == "yes"
 
     @pytest.mark.parametrize("spec", ["1|2|3|4|5|6,7", "1|2|3|4|5|6|7"])
     def test_rows_beyond_the_vertex_guard_are_unverified(self, spec):

@@ -70,6 +70,10 @@ class TestQuadrillageBasics:
         Q = Quadrillage(4, [(3, 4, 1, 2)])
         assert Q.faces == ((1, 2, 3, 4),)
 
+    def test_skeleton_built_once(self):
+        Q = grid(2, 2)
+        assert Q.skeleton() is Q.skeleton()
+
     def test_skeleton(self):
         G = cube().skeleton()
         assert G.num_vertices == 8 and G.num_edges == 12

@@ -28,7 +28,8 @@ from shortlinks import (
 from shortlinks import _bijections
 from shortlinks._bijections import (_Instance, _vertex_order,
                                     automorphism_generators,
-                                    automorphism_group_order)
+                                    automorphism_group_order,
+                                    permutation_group_order)
 from conftest import read_fixture
 from shortlinks.formats import parse_complex
 
@@ -37,6 +38,10 @@ def aut_formula(p: Partition) -> int:
     base = math.prod(math.factorial(s + 1) for s in p.sizes)
     sym = math.prod(math.factorial(c) for c in p.size_counts().values())
     return base * sym
+
+
+def cox_formula(p: Partition) -> int:
+    return math.prod(math.factorial(s + 1) for s in p.sizes)
 
 
 class TestPermutation:
@@ -57,6 +62,25 @@ class TestPermutation:
         assert Permutation({1: 1}) != Permutation({2: 2})
         assert repr(Permutation({1: 2, 2: 1, 3: 3})) == "Permutation({1: 2, 2: 1})"
 
+    def test_mapping_is_a_copy(self):
+        g = Permutation({3: 1, 1: 3, 2: 2})
+        assert list(g.mapping.items()) == [(1, 3), (2, 2), (3, 1)]
+        g.mapping[1] = 1
+        assert g(1) == 3
+        with pytest.raises(AttributeError):
+            g.mapping = {}
+
+    @pytest.mark.parametrize("spec", ["1|2,3", "1,2|3,4", "1|2|3|4"])
+    def test_automorphisms_equal_permutations_built_from_dicts(self, spec):
+        K = build_kp(Partition.from_spec(spec))
+        for g in automorphisms(K):
+            h = Permutation({v: g(v) for v in reversed(K.vertices)})
+            assert g == h and hash(g) == hash(h)
+            assert repr(g) == repr(h)
+            assert g.mapping == h.mapping
+            assert list(g.mapping) == list(h.mapping) == list(K.vertices)
+            assert all(g.apply(f) == h.apply(f) for f in K.facets)
+
 
 class TestAutomorphisms:
     @pytest.mark.parametrize("spec,order", [
@@ -69,6 +93,12 @@ class TestAutomorphisms:
         perms = automorphisms(K)
         assert len(perms) == order
         assert automorphism_count(K) == order
+
+    @pytest.mark.parametrize("spec", ["1|2,3", "1,2|3,4", "1|2|3|4", "1,2,3,4,5"])
+    def test_sorted_by_images(self, spec):
+        K = build_kp(Partition.from_spec(spec))
+        images = [tuple(g(v) for v in K.vertices) for g in automorphisms(K)]
+        assert images == sorted(set(images))
 
     def test_permutations_preserve_facets(self):
         K = build_kp(Partition.from_spec("1|2,3"))
@@ -312,6 +342,20 @@ class TestGenerators:
         assert automorphism_count(SimplicialComplex(2, [(1, 2, 3)])) == 6
 
 
+def closure_orbits(perms, domain) -> list:
+    """Orbits by breadth-first closure under ``perms``, smallest first."""
+    todo = set(domain)
+    result = []
+    while todo:
+        orbit = frontier = {min(todo)}
+        while frontier:
+            frontier = {g(x) for x in frontier for g in perms} - orbit
+            orbit = orbit | frontier
+        result.append(orbit)
+        todo -= orbit
+    return result
+
+
 class TestOrbits:
     def test_octahedron_vertices_one_orbit(self):
         K = build_kp(Partition.from_spec("1|2|3"))
@@ -336,6 +380,37 @@ class TestOrbits:
         g = Permutation({1: 2, 2: 1})
         with pytest.raises(ValueError):
             orbits([g], [1])
+
+    def test_subset_domains_not_closed(self):
+        K = build_kp(Partition.from_spec("1|2,3"))
+        perms = automorphisms(K)
+        with pytest.raises(ValueError, match="not closed"):
+            orbits(perms, K.vertices[1:])
+        with pytest.raises(ValueError, match="not closed"):
+            orbits(perms, sorted(K.facets, key=sorted)[1:])
+
+    def test_subset_domain_closed(self):
+        # an orbit of the vertex set is a domain of its own
+        K = build_kp(Partition.from_spec("1|2,3"))
+        perms = automorphisms(K)
+        for orbit in orbits(perms, K.vertices):
+            assert orbits(perms, sorted(orbit)) == [orbit]
+
+    def test_no_permutations(self):
+        assert orbits([], [3, 1, 2]) == [{1}, {2}, {3}]
+
+    @pytest.mark.parametrize("p", [p for m in range(2, 7)
+                                   for p in enumerate_partitions(m)],
+                             ids=lambda p: p.to_spec())
+    def test_blocks_match_closure_on_generators(self, p):
+        K = build_kp(p)
+        verts = K.vertices
+        gens = [Permutation(dict(zip(verts, map(verts.__getitem__, g))))
+                for g in automorphism_generators(K.facets)]
+        expected = closure_orbits(gens, verts)
+        assert orbits(gens, verts) == expected
+        assert orbits(gens, reversed(verts)) == expected
+        assert len(expected) == kp_summary(p).vertex_orbit_count
 
     def test_orbit_count_rule_matches_bruteforce(self):
         for m in range(2, 6):
@@ -385,9 +460,79 @@ class TestCoxeterOrder:
                 expected = math.prod(math.factorial(s + 1) for s in p.sizes)
                 assert coxeter_order_bruteforce(p) == expected
 
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            coxeter_order_bruteforce(Partition([range(1, 12)]))
+    def test_eleven_points_one_part(self):
+        assert coxeter_order_bruteforce(Partition([range(1, 12)])) == math.factorial(12)
+
+    @pytest.mark.parametrize("spec", [
+        "1,2,3,4,5,6,7,8,9",                          # S_10
+        "1,2,3,4,5,6,7,8,9,10,11,12",                 # S_13
+        "1|2|3,4|5,6|7,8,9|10,11,12",                 # six parts, 18 points
+    ])
+    def test_large_orders_match_the_closed_form(self, spec):
+        p = Partition.from_spec(spec)
+        assert coxeter_order_bruteforce(p) == cox_formula(p)
+
+
+def cox_generators(p: Partition) -> tuple:
+    """The transpositions of coxeter_order_bruteforce, and the domain size."""
+    points = sorted(p.ground_set)
+    size = len(points) + p.t
+    gens = []
+    for j, part in enumerate(p.parts):
+        for i in sorted(part):
+            images = list(range(size))
+            a, b = points.index(i), len(points) + j
+            images[a], images[b] = b, a
+            gens.append(tuple(images))
+    return gens, size
+
+
+def random_generators(rng: random.Random, n: int) -> list:
+    """Up to four permutations of range(n), each moving a random subset."""
+    gens = []
+    for _ in range(rng.randint(0, 4)):
+        moved = rng.sample(range(n), rng.randint(2, n))
+        images = list(range(n))
+        for a, b in zip(moved, rng.sample(moved, len(moved))):
+            images[a] = b
+        gens.append(tuple(images))
+    return gens
+
+
+SMALL_COX = [p for m in range(2, 8) for p in enumerate_partitions(m)
+             if cox_formula(p) <= 10 ** 5]
+
+
+class TestSchreierSims:
+    @pytest.mark.parametrize("p", SMALL_COX, ids=lambda p: p.to_spec())
+    def test_cox_generators_match_the_closure(self, p):
+        gens, size = cox_generators(p)
+        order = len(generated_group(gens, size))
+        assert permutation_group_order(gens, size) == order
+        assert coxeter_order_bruteforce(p) == order
+
+    def test_random_subgroups_of_symmetric_groups(self):
+        rng = random.Random(70)
+        orders = set()
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            gens = random_generators(rng, n)
+            order = len(generated_group(gens, n))
+            assert permutation_group_order(gens, n) == order, (gens, n)
+            orders.add(order)
+        # the groups range from trivial to the whole of S_7
+        assert 1 in orders and math.factorial(7) in orders
+        assert len(orders) >= 15
+
+    def test_structured_groups(self):
+        cycle = tuple(range(1, 12)) + (0,)
+        flip = tuple(range(11, -1, -1))
+        assert permutation_group_order([cycle], 12) == 12
+        assert permutation_group_order([cycle, flip], 12) == 24
+        # the Klein four-group, and the identity listed as a generator
+        a, b = (1, 0, 3, 2), (2, 3, 0, 1)
+        assert permutation_group_order([a, b, (0, 1, 2, 3)], 4) == 4
+        assert permutation_group_order([], 5) == 1
 
 
 class TestGroupRelations:
