@@ -70,6 +70,27 @@ class TestTable:
         assert code == 2
 
 
+def golden_cases() -> list:
+    """(golden file name, argv): ``analyze`` plain and ``--tsv`` on every
+    simplicial and quad fixture, ``embed --graph`` on every graph fixture."""
+    cases = []
+    for path in sorted(FIXTURES.glob("*.txt")):
+        keyword = path.read_text(encoding="utf-8").split(maxsplit=1)[0]
+        if keyword == "graph":
+            cases.append((f"{path.stem}.embed.txt", ["embed", str(path), "--graph"]))
+        elif keyword in ("simplicial", "quad"):
+            cases.append((f"{path.stem}.analyze.txt", ["analyze", str(path)]))
+            cases.append((f"{path.stem}.analyze.tsv", ["analyze", str(path), "--tsv"]))
+    return cases
+
+
+@pytest.mark.parametrize("name,argv", golden_cases(), ids=lambda x: x if isinstance(x, str) else "")
+def test_golden_output(capsys, name, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (FIXTURES / "golden" / name).read_text(encoding="utf-8")
+
+
 class TestAnalyze:
     def test_figure1_report(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", str(FIXTURES / "figure1.txt"))
