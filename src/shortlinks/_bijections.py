@@ -6,7 +6,8 @@ facet membership count, pairwise co-facet counts) and checking a facet's
 image as soon as all of its vertices are mapped.  When the complement of
 a facet is smaller than the facet itself, the complement family is
 checked instead (a bijection preserves one family exactly when it
-preserves the other).  Every search stops at its first solution.
+preserves the other).  Every search stops at its first solution, and
+every bijection it returns is audited against the two facet families.
 
 The automorphism group is never enumerated leaf by leaf.  With the
 search's vertex order as base b_0, b_1, ..., let G_d be the subgroup
@@ -16,10 +17,10 @@ whether w lies in the orbit of b_d under G_d; the bijection it finds is
 the transversal element T_d[w] (Sims 1970; Seress, *Permutation Group
 Algorithms*, 2003, ch. 4).  By orbit-stabilizer, |Aut| = prod |T_d|, and
 every automorphism is exactly one product t_0 t_1 ... with t_d in T_d.
-Each transversal element is audited against the facet family.  The
-non-identity transversal elements generate Aut; :func:`automorphism_generators`
-keeps the ones each level needs, which is how the metric layer gets the
-automorphisms of a graph (its edges as 2-sets) from the same routine.
+The non-identity transversal elements generate Aut;
+:func:`automorphism_generators` keeps the ones each level needs, which is
+how the metric layer gets the automorphisms of a graph (its edges as
+2-sets) from the same routine.
 
 Two routines act on any permutations, not only automorphisms:
 :func:`orbit_closure` splits a set into orbits under given maps, and
@@ -185,18 +186,20 @@ def find_bijection(facets1, facets2):
     images = search.first(search.cands)
     if images is None:
         return None
+    _audit(src, dst, images)
     return {src.verts[v]: dst.verts[images[v]] for v in range(src.n)}
 
 
-def _audit(inst: _Instance, images) -> None:
+def _audit(src: _Instance, dst: _Instance, images) -> None:
+    """Check that ``images`` is a bijection carrying src's family onto dst's."""
     masks = set()
-    for f in inst.family:
+    for f in src.family:
         m = 0
         for v in f:
             m |= 1 << images[v]
         masks.add(m)
-    if len(set(images)) != inst.n or masks != inst.fam_masks:
-        raise AssertionError("transversal element failed its audit")
+    if len(set(images)) != src.n or masks != dst.fam_masks:
+        raise AssertionError("vertex bijection failed its audit")
 
 
 def _stabilizer_chain(facets) -> list:
@@ -222,7 +225,7 @@ def _stabilizer_chain(facets) -> list:
             cands[v] = (w,)
             images = search.first(cands)
             if images is not None:
-                _audit(inst, images)
+                _audit(inst, inst, images)
                 level.append(images)
         cands[v] = (v,)
         fixed |= 1 << v

@@ -239,12 +239,8 @@ def _quad_report(Q: Quadrillage, bound: int):
     simple = all(zone_is_simple(Q, z) for z in zs)
     pairs.append(("zones simple", "yes" if simple else "no"))
     if simple:
-        try:
-            convex = all(zone_is_convex(Q, z) for z in zs)
-        except ValueError as exc:
-            pairs.append(("zones convex", f"skipped ({exc})"))
-        else:
-            pairs.append(("zones convex", "yes" if convex else "no"))
+        convex = all(zone_is_convex(Q, z) for z in zs)
+        pairs.append(("zones convex", "yes" if convex else "no"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:

@@ -19,7 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, ne
 
 from ._bijections import automorphism_generators, orbit_closure
 from .errors import GuardExceeded
@@ -28,10 +28,15 @@ from .exactlp import solve_nonnegative
 CUT_CONE_VERTEX_GUARD = 13
 EMBED_VERTEX_GUARD = 8
 EMBED_DIMENSION_GUARD = 12
+_DISCONNECTED = "graph is disconnected; the path-metric is undefined"
 
 
 class Graph:
-    """Simple undirected graph with cached all-pairs hop distances."""
+    """Simple undirected graph with one cached table of hop distances.
+
+    The table is built once, even for a disconnected graph; only a distance
+    across two components, or the metric of such a graph, raises.
+    """
 
     __slots__ = ("vertices", "edges", "_index", "_adj", "_dist")
 
@@ -77,52 +82,40 @@ class Graph:
     def has_edge(self, u, v) -> bool:
         return v in self._adj[u]
 
-    def _distance_rows(self):
+    def _table(self) -> list:
+        """One BFS row per vertex position; -1 marks an unreachable pair."""
         if self._dist is None:
-            rows = []
+            index, rows = self._index, []
             for s in self.vertices:
-                row = [-1] * self.num_vertices
-                row[self._index[s]] = 0
-                queue = deque([s])
-                while queue:
-                    u = queue.popleft()
-                    du = row[self._index[u]]
+                row = [-1] * len(index)
+                row[index[s]] = 0
+                queue = [s]
+                for u in queue:
+                    du = row[index[u]] + 1
                     for w in self._adj[u]:
-                        iw = self._index[w]
-                        if row[iw] < 0:
-                            row[iw] = du + 1
+                        if row[index[w]] < 0:
+                            row[index[w]] = du
                             queue.append(w)
-                if min(row) < 0:
-                    raise ValueError(
-                        "graph is disconnected; the path-metric is undefined")
                 rows.append(row)
             object.__setattr__(self, "_dist", rows)
         return self._dist
 
-    def distance(self, u, v) -> int:
-        """Path-metric (number of hops on a shortest path)."""
-        return self._distance_rows()[self._index[u]][self._index[v]]
+    def _distance_rows(self) -> list:
+        """The whole path-metric, which only a connected graph has."""
+        if not self.is_connected():
+            raise ValueError(_DISCONNECTED)
+        return self._table()
 
-    def _reach(self, v) -> set:
-        reach = {v}
-        stack = [v]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        return reach
+    def distance(self, u, v) -> int:
+        """Path-metric (number of hops on a shortest path); u and v must lie
+        in one component."""
+        d = self._table()[self._index[u]][self._index[v]]
+        if d < 0:
+            raise ValueError(_DISCONNECTED)
+        return d
 
     def is_connected(self) -> bool:
-        return len(self._reach(self.vertices[0])) == self.num_vertices
-
-    def component(self, v) -> "Graph":
-        """The connected component containing v, as a graph of its own
-        (the graph itself when it is connected)."""
-        reach = self._reach(v)
-        if len(reach) == self.num_vertices:
-            return self
-        return Graph(reach, (e for e in self.edges if e[0] in reach))
+        return -1 not in self._table()[0]
 
     def is_bipartite(self) -> bool:
         color = {}
@@ -322,6 +315,13 @@ class PartialCubeLabeling:
         return sum(a != b for a, b in zip(self.address[u], self.address[v]))
 
 
+def _is_scaled_embedding(address, scale: int, vertices, distance) -> bool:
+    """Is the Hamming distance of every two addresses ``scale`` times their
+    ``distance``?  This decides or audits every address certificate."""
+    return all(sum(map(ne, address[u], address[v])) == scale * distance(u, v)
+               for u, v in itertools.combinations(vertices, 2))
+
+
 def partial_cube(G: Graph):
     """Recognize isometric hypercube subgraphs and label them.
 
@@ -359,11 +359,9 @@ def partial_cube(G: Graph):
             else:
                 return None  # split does not cover the graph
         address[v] = tuple(bits)
-    labeling = PartialCubeLabeling(dimension=len(classes), address=address)
-    for u, v in itertools.combinations(verts, 2):
-        if labeling.hamming(u, v) != G.distance(u, v):
-            return None
-    return labeling
+    if not _is_scaled_embedding(address, 1, verts, G.distance):
+        return None
+    return PartialCubeLabeling(dimension=len(classes), address=address)
 
 
 @dataclass(frozen=True)
@@ -484,21 +482,47 @@ def embedding_from_cuts(dec: CutDecomposition):
             count = dec.weights[S] * scale
             bits.extend([1 if v in S else 0] * int(count))
         address[v] = tuple(bits)
-    for (u, v), d in dec.metric.items():
-        ham = sum(a != b for a, b in zip(address[u], address[v]))
-        if ham != scale * d:
-            raise AssertionError("scaled embedding failed its audit")
+    if not _is_scaled_embedding(address, scale, sorted(dec.vertices),
+                                lambda u, v: dec.metric[u, v]):
+        raise AssertionError("scaled embedding failed its audit")
     return scale, address
+
+
+def _address_search(need, dim: int):
+    """Masks in {0,1}^dim whose pairwise Hamming distances are ``need``, or
+    None.  The first mask is 0 and the second left-packed, which are free
+    normalizations; the others are found by backtracking."""
+    n = len(need)
+    masks_by_weight = [[] for _ in range(dim + 1)]
+    for mask in range(1 << dim):
+        masks_by_weight[mask.bit_count()].append(mask)
+    assigned = [0] * n
+    if n > 1:
+        assigned[1] = (1 << need[0][1]) - 1  # unique up to column order
+
+    def rec(k: int):
+        if k >= n:
+            return True
+        nk = need[k]
+        for mask in masks_by_weight[nk[0]]:
+            for i in range(1, k):
+                if (assigned[i] ^ mask).bit_count() != nk[i]:
+                    break
+            else:
+                assigned[k] = mask
+                if rec(k + 1):
+                    return True
+        return False
+
+    return assigned if rec(2) else None
 
 
 def find_scaled_embedding(G: Graph, scale: int, dim: int):
     """Search for addresses in {0,1}^dim with Hamming = scale * distance.
 
     Exhaustive backtracking over vertex addresses, vertices in decreasing
-    degree order; the first vertex is pinned to the zero address and the
-    second to a left-packed address, which are free normalizations.
-    Returns an address dict or None when no embedding exists at exactly
-    these parameters.
+    degree order.  Returns an address dict, audited against scale times the
+    metric, or None when no embedding exists at exactly these parameters.
     """
     if G.num_vertices > EMBED_VERTEX_GUARD:
         raise GuardExceeded(
@@ -516,38 +540,15 @@ def find_scaled_embedding(G: Graph, scale: int, dim: int):
             for i in range(n)]
     if any(need[i][j] > dim for i in range(n) for j in range(n)):
         return None
-    masks_by_weight = [[] for _ in range(dim + 1)]
-    for mask in range(1 << dim):
-        masks_by_weight[mask.bit_count()].append(mask)
-    assigned = [0] * n
-
-    def rec(k: int):
-        if k == n:
-            return True
-        if k == 1:
-            w = need[0][1]
-            assigned[1] = (1 << w) - 1  # left-packed, unique up to column order
-            return rec(2)
-        nk = need[k]
-        for mask in masks_by_weight[nk[0]]:
-            ok = True
-            for i in range(1, k):
-                if (assigned[i] ^ mask).bit_count() != nk[i]:
-                    ok = False
-                    break
-            if ok:
-                assigned[k] = mask
-                if rec(k + 1):
-                    return True
-        return False
-
-    assigned[0] = 0
-    found = rec(1) if n > 1 else True
-    if not found:
+    masks = _address_search(need, dim)
+    if masks is None:
         return None
-    return {order[i]: tuple((assigned[i] >> (dim - 1 - b)) & 1
-                            for b in range(dim))
-            for i in range(n)}
+    address = {order[i]: tuple((masks[i] >> (dim - 1 - b)) & 1
+                               for b in range(dim))
+               for i in range(n)}
+    if not _is_scaled_embedding(address, scale, G.vertices, G.distance):
+        raise AssertionError("scaled embedding failed its audit")
+    return address
 
 
 def a_m(m: int) -> int:

@@ -35,10 +35,8 @@ def _face_edges(face) -> list:
 
 
 def _opposite_edge(face, edge) -> frozenset:
-    for i in range(4):
-        if frozenset((face[i], face[(i + 1) % 4])) == edge:
-            return frozenset((face[(i + 2) % 4], face[(i + 3) % 4]))
-    raise ValueError(f"{sorted(edge)} is not an edge of face {face}")
+    edges = _face_edges(face)
+    return edges[edges.index(edge) ^ 2]
 
 
 class Quadrillage:
@@ -105,7 +103,7 @@ class Quadrillage:
         if self._skeleton is None:
             object.__setattr__(self, "_skeleton", Graph(
                 range(1, self.num_vertices + 1),
-                (tuple(sorted(e)) for e in self.edge_faces)))
+                map(tuple, self.edge_faces)))
         return self._skeleton
 
     def __eq__(self, other) -> bool:
@@ -143,46 +141,34 @@ class Zone:
 def zones(Q: Quadrillage) -> list:
     """Partition the edges of ``Q`` into zones.
 
-    Boundary-to-boundary paths are traced first, then the remaining edges
-    fall into circuits.  Every edge belongs to exactly one zone.
+    One walker traces every zone: from an edge into a face, across to the
+    opposite edge and on into that edge's other face.  It stops at a
+    boundary edge (an open zone) or when the starting (edge, face) pair
+    comes back (a closed one).  Walks start from the boundary edges first,
+    so each open zone is traced from one of its ends.  Every edge belongs
+    to exactly one zone.
     """
     used = set()
     out = []
-    for e in Q.boundary_edges():
+    for e in Q.boundary_edges() + Q.edges:
         if e in used:
             continue
-        face = Q.edge_faces[e][0]
-        path_edges = [e]
-        path_faces = []
-        used.add(e)
+        edge, face = e, min(Q.edge_faces[e])
+        start = (edge, face)
+        edges, faces = [edge], []
         while True:
-            nxt = _opposite_edge(Q.faces[face], path_edges[-1])
-            path_faces.append(face)
-            path_edges.append(nxt)
-            used.add(nxt)
-            owners = Q.edge_faces[nxt]
+            faces.append(face)
+            edge = _opposite_edge(Q.faces[face], edge)
+            owners = Q.edge_faces[edge]
             if len(owners) == 1:
+                edges.append(edge)
                 break
             face = owners[0] if owners[1] == face else owners[1]
-        out.append(Zone(tuple(path_edges), tuple(path_faces), closed=False))
-    for e in Q.edges:
-        if e in used:
-            continue
-        start = (e, min(Q.edge_faces[e]))
-        cur_edge, cur_face = start
-        circ_edges = []
-        circ_faces = []
-        while True:
-            circ_edges.append(cur_edge)
-            circ_faces.append(cur_face)
-            used.add(cur_edge)
-            nxt = _opposite_edge(Q.faces[cur_face], cur_edge)
-            owners = Q.edge_faces[nxt]
-            nxt_face = owners[0] if owners[1] == cur_face else owners[1]
-            cur_edge, cur_face = nxt, nxt_face
-            if (cur_edge, cur_face) == start:
+            if (edge, face) == start:
                 break
-        out.append(Zone(tuple(circ_edges), tuple(circ_faces), closed=True))
+            edges.append(edge)
+        used.update(edges)
+        out.append(Zone(tuple(edges), tuple(faces), closed=len(owners) == 2))
     out.sort(key=lambda z: (not z.closed, sorted(sorted(e) for e in z.edges)))
     return out
 
@@ -194,29 +180,26 @@ def zone_is_simple(Q: Quadrillage, zone: Zone) -> bool:
 
 def zone_band(Q: Quadrillage, zone: Zone) -> Graph:
     """Subgraph formed by all edges of all faces the zone crosses."""
-    edges = set()
-    for k in set(zone.faces):
-        edges.update(_face_edges(Q.faces[k]))
-    verts = sorted(set(itertools.chain.from_iterable(edges)))
-    return Graph(verts, (tuple(sorted(e)) for e in edges))
+    edges = {e for k in set(zone.faces) for e in _face_edges(Q.faces[k])}
+    return Graph(itertools.chain.from_iterable(edges), map(tuple, edges))
 
 
 def zone_is_convex(Q: Quadrillage, zone: Zone) -> bool:
     """Is the zone band isometric in the skeleton?
 
     Every pair of band vertices must be as close inside the band as in the
-    skeleton.  The band is connected, so distances are read in its own
-    component of the skeleton, which is defined even when the skeleton is
-    disconnected.  Only defined for simple zones.  The verdict is cached
-    on ``Q``.
+    skeleton.  The band is connected, so it lies in one component of the
+    skeleton, and the skeleton's distances between band vertices are
+    defined even when the skeleton is disconnected.  Only defined for
+    simple zones.  The verdict is cached on ``Q``.
     """
     if not zone_is_simple(Q, zone):
         raise ValueError("convexity is only defined for simple zones")
     verdict = Q._convex.get(zone)
     if verdict is None:
         band = zone_band(Q, zone)
-        part = Q.skeleton().component(band.vertices[0])
-        verdict = all(band.distance(u, v) == part.distance(u, v)
+        skel = Q.skeleton()
+        verdict = all(band.distance(u, v) == skel.distance(u, v)
                       for u, v in itertools.combinations(band.vertices, 2))
         Q._convex[zone] = verdict
     return verdict
@@ -300,70 +283,25 @@ def torus(p: int, q: int) -> Quadrillage:
 def dual_cuboctahedron() -> Quadrillage:
     """Dual of the cuboctahedron (the rhombic dodecahedron as a quadrillage).
 
-    Built by dualizing the combinatorial cuboctahedron: one dual vertex
-    per face (6 squares, 8 triangles), one quad per cuboctahedron vertex.
+    The cuboctahedron's faces are the dual vertices: square (axis, s),
+    holding the vertices with that coordinate equal to s, is 1 + 2*axis
+    (+1 when s = -1), and the triangle of sign vector t is 7 plus the
+    index of t in ``product((1, -1), repeat=3)``.  Each cuboctahedron
+    vertex, t with coordinate k set to 0, gives one quad: its faces
+    alternate square, triangle, square, triangle around it.
     """
-    coords = sorted(set(itertools.permutations((1, 1, 0)))
-                    | set(itertools.permutations((1, -1, 0)))
-                    | set(itertools.permutations((-1, -1, 0))))
-    vid = {c: k + 1 for k, c in enumerate(coords)}
+    def square(axis, s):
+        return 1 + 2 * axis + (s < 0)
 
-    squares = []
-    for axis in range(3):
-        for s in (1, -1):
-            ring = [c for c in coords if c[axis] == s]
-            # cyclic order: walk by adjacency (squared distance 2)
-            cyc = [ring.pop()]
-            while ring:
-                last = cyc[-1]
-                nxt = next(c for c in ring
-                           if sum((a - b) ** 2 for a, b in zip(c, last)) == 2)
-                ring.remove(nxt)
-                cyc.append(nxt)
-            squares.append(tuple(vid[c] for c in cyc))
-    triangles = []
-    for sx, sy, sz in itertools.product((1, -1), repeat=3):
-        tri = ((sx, sy, 0), (sx, 0, sz), (0, sy, sz))
-        triangles.append(tuple(vid[c] for c in tri))
-    dual = _dual_faces(len(coords), squares + triangles)
-    return Quadrillage(len(squares) + len(triangles), dual)
+    def triangle(t):
+        return 7 + sum(4 >> axis for axis in range(3) if t[axis] < 0)
 
-
-def _dual_faces(num_vertices: int, faces) -> list:
-    """Faces of the dual complex: incident primal faces walked around each vertex.
-
-    The primal complex must be closed (each edge in exactly two faces) with
-    disk vertex stars, e.g. any polyhedron boundary.
-    """
-    edge_faces = defaultdict(list)
-    for k, f in enumerate(faces):
-        m = len(f)
-        for i in range(m):
-            edge_faces[frozenset((f[i], f[(i + 1) % m]))].append(k)
-    for e, fs in edge_faces.items():
-        if len(fs) != 2:
-            raise ValueError(f"edge {sorted(e)} lies in {len(fs)} faces; "
-                             "dualization needs a closed complex")
-    dual = []
-    for v in range(1, num_vertices + 1):
-        incident = [k for k, f in enumerate(faces) if v in f]
-        walk = [min(incident)]
-        f = faces[walk[0]]
-        i = f.index(v)
-        cross = frozenset((v, f[(i + 1) % len(f)]))
-        while True:
-            a, b = edge_faces[cross]
-            nxt = b if a == walk[-1] else a
-            if nxt == walk[0]:
-                break
-            walk.append(nxt)
-            f = faces[nxt]
-            # leave through the other edge of f at v
-            i = f.index(v)
-            before = frozenset((v, f[(i - 1) % len(f)]))
-            after = frozenset((v, f[(i + 1) % len(f)]))
-            cross = after if before == cross else before
-        if len(walk) != len(incident):
-            raise ValueError(f"vertex {v} star is not a disk")
-        dual.append(tuple(k + 1 for k in walk))
-    return dual
+    faces = []
+    for t in itertools.product((1, -1), repeat=3):
+        for k in range(3):
+            if t[k] > 0:
+                i, j = (axis for axis in range(3) if axis != k)
+                flipped = t[:k] + (-1,) + t[k + 1:]
+                faces.append((square(i, t[i]), triangle(t),
+                              square(j, t[j]), triangle(flipped)))
+    return Quadrillage(14, faces)

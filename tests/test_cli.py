@@ -81,10 +81,10 @@ def golden_cases() -> list:
         elif keyword in ("simplicial", "quad"):
             cases.append((f"{path.stem}.analyze.txt", ["analyze", str(path)]))
             cases.append((f"{path.stem}.analyze.tsv", ["analyze", str(path), "--tsv"]))
-    return cases
+    return [pytest.param(name, argv, id=name) for name, argv in cases]
 
 
-@pytest.mark.parametrize("name,argv", golden_cases(), ids=lambda x: x if isinstance(x, str) else "")
+@pytest.mark.parametrize("name,argv", golden_cases())
 def test_golden_output(capsys, name, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -72,10 +72,15 @@ class TestGraphBasics:
         assert G.distance(2, 2) == 0
 
     def test_disconnected_metric_fails(self):
-        G = Graph([1, 2, 3, 4], [(1, 2), (3, 4)])
+        G = Graph([1, 2, 3, 4, 5], [(1, 2), (3, 4), (4, 5)])
         assert not G.is_connected()
-        with pytest.raises(ValueError):
+        assert G.distance(1, 2) == 1 and G.distance(3, 5) == 2
+        with pytest.raises(ValueError, match="disconnected"):
             G.distance(1, 3)
+        with pytest.raises(ValueError, match="disconnected"):
+            kgonal_violations(G, 2)
+        with pytest.raises(ValueError, match="disconnected"):
+            cut_cone_decompose(G)
 
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -467,6 +472,14 @@ class TestEmbeddingFromCuts:
         scale, _ = embedding_from_cuts(dec)
         assert scale == 1
 
+    def test_audit_rejects_a_wrong_decomposition(self):
+        G = complete_graph(3)
+        dec = CutDecomposition(
+            weights={frozenset([2]): Fraction(1)}, vertices=G.vertices,
+            metric={(u, v): 1 for u, v in itertools.combinations(G.vertices, 2)})
+        with pytest.raises(AssertionError, match="audit"):
+            embedding_from_cuts(dec)
+
 
 class TestScaledEmbedding:
     def test_k5_minus_k2(self):
@@ -485,6 +498,12 @@ class TestScaledEmbedding:
         G = complete_graph(3)
         for dim in (2, 3, 4):
             assert find_scaled_embedding(G, 1, dim) is None
+
+    def test_audit_rejects_bad_addresses(self, monkeypatch):
+        monkeypatch.setattr(metric, "_address_search",
+                            lambda need, dim: [0] * len(need))
+        with pytest.raises(AssertionError, match="audit"):
+            find_scaled_embedding(complete_minus_matching(5, 1), 2, 4)
 
     def test_guards(self):
         with pytest.raises(GuardExceeded):

@@ -1,6 +1,8 @@
 import pytest
 
+from conftest import read_fixture
 from shortlinks import (
+    Graph,
     Quadrillage,
     Zone,
     cube,
@@ -15,11 +17,31 @@ from shortlinks import (
     zone_is_simple,
     zones,
 )
+from shortlinks.formats import parse_quadrillage
 
 
 def banana() -> Quadrillage:
     """Spherical quadrangulation with skeleton K_{2,3}: one non-simple zone."""
     return Quadrillage(5, [(1, 3, 2, 4), (1, 4, 2, 5), (1, 5, 2, 3)])
+
+
+def cylinder(p: int, q: int) -> Quadrillage:
+    """p-by-q grid wrapped in the q direction only: q open zones across
+    the p rows and p closed zones around the cylinder."""
+    def vid(i, j):
+        return i * q + j % q + 1
+
+    return Quadrillage((p + 1) * q, [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1),
+                                      vid(i, j + 1))
+                                     for i in range(p) for j in range(q)])
+
+
+def disjoint_grids(p: int, q: int) -> Quadrillage:
+    """Two copies of grid(p, q) on disjoint vertex sets."""
+    g = grid(p, q)
+    n = g.num_vertices
+    return Quadrillage(2 * n, list(g.faces)
+                       + [tuple(v + n for v in f) for f in g.faces])
 
 
 class TestQuadrillageBasics:
@@ -40,6 +62,10 @@ class TestQuadrillageBasics:
         Q = dual_cuboctahedron()
         assert (Q.num_vertices, Q.num_edges, Q.num_faces) == (14, 24, 12)
         assert Q.is_closed
+
+    def test_dual_cuboctahedron_matches_fixture(self):
+        assert dual_cuboctahedron() == parse_quadrillage(
+            read_fixture("dual_cuboctahedron.txt"))
 
     def test_grid_boundary(self):
         Q = grid(2, 3)
@@ -119,6 +145,16 @@ class TestZones:
             assert len(covered) == Q.num_edges
             assert set(covered) == set(Q.edge_faces)
 
+    @pytest.mark.parametrize("p,q", [(1, 3), (3, 4), (2, 6)])
+    def test_cylinder_has_open_and_closed_zones(self, p, q):
+        Q = cylinder(p, q)
+        zs = zones(Q)
+        assert [z.closed for z in zs] == [True] * p + [False] * q
+        assert all(z.length == q and len(z.faces) == q for z in zs[:p])
+        assert all(z.length == p + 1 and len(z.faces) == p for z in zs[p:])
+        assert sorted(e for z in zs for e in map(sorted, z.edges)) == \
+            sorted(map(sorted, Q.edges))
+
     def test_banana_zone_not_simple(self):
         zs = zones(banana())
         assert len(zs) == 1
@@ -186,6 +222,18 @@ class TestDisconnectedSkeleton:
             if z.edges in verdict:
                 assert zone_is_convex(both, z) == verdict.pop(z.edges)
         assert verdict == {}
+
+    def test_one_graph_per_band_and_skeleton(self, monkeypatch):
+        Q = disjoint_grids(4, 4)
+        built = []
+        init = Graph.__init__
+        monkeypatch.setattr(Graph, "__init__", lambda self, *a: built.append(a)
+                            or init(self, *a))
+        zs = zones(Q)
+        assert len(zs) == 16
+        assert all(zone_is_convex(Q, z) for z in zs)
+        # the skeleton, then one band per zone: no component is rebuilt
+        assert len(built) == 1 + 16
 
     def test_zone_criterion_needs_a_connected_skeleton(self):
         with pytest.raises(ValueError, match="disconnected"):

@@ -18,6 +18,7 @@ from shortlinks import (
     skeleton,
 )
 from conftest import read_fixture
+from shortlinks import _bijections
 from shortlinks.formats import parse_complex
 
 
@@ -302,3 +303,14 @@ class TestIsomorphism:
         phi = are_isomorphic(K, K)
         assert phi is not None
         assert {frozenset(phi[v] for v in f) for f in K.facets} == K.facets
+
+    def test_audit_rejects_a_non_isomorphism(self, monkeypatch):
+        K1 = build_kp(Partition.from_spec("1|2,3"))
+        K2 = build_kp(Partition([[2], [1, 3]]))
+        assert are_isomorphic(K1, K2) is not None
+        # the identity on 1..5 does not carry K1's facets onto K2's
+        assert K1.facets != K2.facets
+        monkeypatch.setattr(_bijections._Search, "first",
+                            lambda self, cands: tuple(range(self.n)))
+        with pytest.raises(AssertionError, match="audit"):
+            are_isomorphic(K1, K2)
