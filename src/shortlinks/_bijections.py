@@ -78,9 +78,6 @@ class _Instance:
         self.pair = pair
         self.sig = [(memb[v], bin(self.adj[v]).count("1")) for v in range(self.n)]
 
-    def signature_multiset(self):
-        return sorted(self.sig)
-
 
 def _vertex_order(inst: _Instance) -> list:
     """Order vertices so that family members become fully mapped early."""
@@ -174,7 +171,7 @@ def _compatible(src: _Instance, dst: _Instance) -> bool:
     return (src.n == dst.n
             and len(src.family) == len(dst.family)
             and sorted(map(len, src.family)) == sorted(map(len, dst.family))
-            and src.signature_multiset() == dst.signature_multiset())
+            and sorted(src.sig) == sorted(dst.sig))
 
 
 def find_bijection(facets1, facets2):
@@ -243,24 +240,18 @@ def automorphism_generators(facets) -> list:
 
     Levels are read from the deepest up.  An element of ``T_d`` is kept
     only when it sends b_d outside the orbit of b_d under the elements
-    kept so far.  The kept elements then generate a subgroup of G_d whose
-    orbit of b_d is the whole basic orbit and whose stabilizer of b_d
-    contains G_{d+1}, so by orbit-stabilizer they generate G_d itself.
+    kept so far, which :func:`orbit_closure` regrows after each one kept.
+    The kept elements then generate a subgroup of G_d whose orbit of b_d
+    is the whole basic orbit and whose stabilizer of b_d contains G_{d+1},
+    so by orbit-stabilizer they generate G_d itself.
     """
     gens = []
     for base, level in reversed(_stabilizer_chain(facets)):
         orbit = {base}
         for t in level[1:]:
-            if t[base] in orbit:
-                continue
-            gens.append(t)
-            todo = list(orbit)
-            while todo:
-                x = todo.pop()
-                for g in gens:
-                    if g[x] not in orbit:
-                        orbit.add(g[x])
-                        todo.append(g[x])
+            if t[base] not in orbit:
+                gens.append(t)
+                orbit = set(orbit_closure([base], [g.__getitem__ for g in gens])[0])
     return gens
 
 

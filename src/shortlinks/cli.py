@@ -15,7 +15,7 @@ import sys
 import warnings
 
 from . import formats
-from ._bijections import automorphism_generators
+from ._bijections import automorphism_generators, orbit_closure
 from .errors import FormatError, GuardExceeded
 from .metric import (Graph, cut_cone_decompose, find_scaled_embedding,
                      is_isometric_cycle, kgonal_violations, partial_cube)
@@ -25,8 +25,7 @@ from .quadrillage import (Quadrillage, embeddable_by_zones, quadrillage_type,
 from .simplicial import (Partition, SimplicialComplex, complex_type,
                          euler_characteristic, is_closed_pseudomanifold,
                          link_of_face, skeleton)
-from .symmetry import (Permutation, automorphism_count,
-                       coxeter_order_bruteforce, orbits)
+from .symmetry import automorphism_count, coxeter_order_bruteforce
 
 TABLE_COLUMNS = ("partition", "skeleton", "facets", "aut", "orbits", "cox",
                  "verified")
@@ -100,13 +99,11 @@ def _verify_row(p: Partition, s) -> str:
         aut_order = automorphism_count(K)
     except GuardExceeded:
         return "-"
-    verts = K.vertices
-    gens = [Permutation(dict(zip(verts, map(verts.__getitem__, g))))
-            for g in automorphism_generators(K.facets)]
+    moves = [g.__getitem__ for g in automorphism_generators(K.facets)]
     checks = (
         K.num_facets == s.facet_count
         and aut_order == s.aut_order
-        and len(orbits(gens, verts)) == s.vertex_orbit_count
+        and len(orbit_closure(range(len(K.vertices)), moves)) == s.vertex_orbit_count
         and coxeter_order_bruteforce(p) == s.cox_order
     )
     return "yes" if checks else "MISMATCH"

@@ -73,9 +73,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v) -> frozenset:
-        return self._adj[v]
-
     def degree(self, v) -> int:
         return len(self._adj[v])
 
@@ -220,9 +217,6 @@ class GonalVector:
         if sum(c for _, c in self.coefficients) != 1:
             raise ValueError("gonal vector coefficients must sum to 1")
 
-    def as_dict(self) -> dict:
-        return dict(self.coefficients)
-
     def value(self, G: Graph) -> int:
         """Left-hand side sum b_i b_j d(i, j); positive means violated."""
         total = 0
@@ -311,9 +305,6 @@ class PartialCubeLabeling:
     dimension: int
     address: dict
 
-    def hamming(self, u, v) -> int:
-        return sum(a != b for a, b in zip(self.address[u], self.address[v]))
-
 
 def _is_scaled_embedding(address, scale: int, vertices, distance) -> bool:
     """Is the Hamming distance of every two addresses ``scale`` times their
@@ -325,41 +316,36 @@ def _is_scaled_embedding(address, scale: int, vertices, distance) -> bool:
 def partial_cube(G: Graph):
     """Recognize isometric hypercube subgraphs and label them.
 
-    Edges are grouped by the distance split they induce (the two sides
-    closer to either endpoint); each group becomes one coordinate, set to
-    1 on the side away from a base vertex.  The labeling is returned only
-    if every pairwise Hamming distance reproduces the path-metric, which
-    certifies the verdict; if the graph is not a partial cube this check
-    (or bipartiteness) necessarily fails and None is returned.
+    Each edge uv splits the vertices into those strictly nearer u and
+    those strictly nearer v (the Djoković–Winkler relation), read from the
+    two endpoint rows of the graph's distance table.  In a bipartite graph
+    every vertex is strictly nearer one end of each edge, so a vertex
+    equidistant from both ends proves an odd cycle and None is returned at
+    once.  Edges with the same split form one coordinate, set to 1 on the
+    side away from the base vertex (the smallest one); coordinates are
+    ordered by the smallest vertex of that side.  The labeling is returned
+    only if every pairwise Hamming distance reproduces the path-metric,
+    which certifies the verdict; if the graph is not a partial cube this
+    check necessarily fails and None is returned.
     """
     if not G.is_connected():
         raise ValueError("partial-cube recognition needs a connected graph")
-    if not G.is_bipartite():
-        return None
-    verts = G.vertices
-    idx = {v: i for i, v in enumerate(verts)}
-    splits = {}
+    index, rows = G._index, G._table()
+    splits = {}  # bitmask of the side away from the base, in edge order
     for u, v in G.edges:
-        side_u = frozenset(w for w in verts
-                           if G.distance(w, u) < G.distance(w, v))
-        side_v = frozenset(w for w in verts
-                           if G.distance(w, v) < G.distance(w, u))
-        key = (side_u, side_v) if min(side_u) < min(side_v) else (side_v, side_u)
-        splits.setdefault(key, []).append((u, v))
-    classes = sorted(splits, key=lambda key: sorted(map(min, key)))
-    base = verts[0]
-    address = {}
-    for v in verts:
-        bits = []
-        for side_a, side_b in classes:
-            if v in side_a:
-                bits.append(0 if base in side_a else 1)
-            elif v in side_b:
-                bits.append(0 if base in side_b else 1)
-            else:
-                return None  # split does not cover the graph
-        address[v] = tuple(bits)
-    if not _is_scaled_embedding(address, 1, verts, G.distance):
+        # near is the end nearer the base vertex (position 0)
+        near, far = sorted((rows[index[u]], rows[index[v]]))
+        side = 0
+        for i, (a, b) in enumerate(zip(near, far)):
+            if a == b:
+                return None
+            if b < a:
+                side |= 1 << i
+        splits[side] = None
+    classes = sorted(splits, key=lambda side: side & -side)
+    address = {v: tuple(side >> i & 1 for side in classes)
+               for i, v in enumerate(G.vertices)}
+    if not _is_scaled_embedding(address, 1, G.vertices, G.distance):
         return None
     return PartialCubeLabeling(dimension=len(classes), address=address)
 

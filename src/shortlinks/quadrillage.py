@@ -42,11 +42,13 @@ def _opposite_edge(face, edge) -> frozenset:
 class Quadrillage:
     """Quad faces as cyclic 4-tuples; every edge must lie in at most 2 faces.
 
-    The skeleton and each zone's convexity verdict are cached on the
-    quadrillage, so every caller shares one graph and its distance rows.
+    The skeleton, the zones and each zone's convexity verdict are cached on
+    the quadrillage, so every caller shares one graph, its distance rows
+    and one zone trace.
     """
 
-    __slots__ = ("num_vertices", "faces", "edge_faces", "_skeleton", "_convex")
+    __slots__ = ("num_vertices", "faces", "edge_faces", "_skeleton", "_zones",
+                 "_convex")
 
     def __init__(self, num_vertices: int, faces) -> None:
         canon = sorted(_canonical_face(f) for f in faces)
@@ -71,6 +73,7 @@ class Quadrillage:
         object.__setattr__(self, "faces", tuple(canon))
         object.__setattr__(self, "edge_faces", dict(edge_faces))
         object.__setattr__(self, "_skeleton", None)
+        object.__setattr__(self, "_zones", None)
         object.__setattr__(self, "_convex", {})
 
     def __setattr__(self, name, value):
@@ -146,8 +149,11 @@ def zones(Q: Quadrillage) -> list:
     boundary edge (an open zone) or when the starting (edge, face) pair
     comes back (a closed one).  Walks start from the boundary edges first,
     so each open zone is traced from one of its ends.  Every edge belongs
-    to exactly one zone.
+    to exactly one zone.  The zones are traced once per quadrillage and
+    cached on it; each call returns a new list.
     """
+    if Q._zones is not None:
+        return list(Q._zones)
     used = set()
     out = []
     for e in Q.boundary_edges() + Q.edges:
@@ -170,6 +176,7 @@ def zones(Q: Quadrillage) -> list:
         used.update(edges)
         out.append(Zone(tuple(edges), tuple(faces), closed=len(owners) == 2))
     out.sort(key=lambda z: (not z.closed, sorted(sorted(e) for e in z.edges)))
+    object.__setattr__(Q, "_zones", tuple(out))
     return out
 
 

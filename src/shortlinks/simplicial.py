@@ -360,7 +360,9 @@ def characteristic_partition(K: SimplicialComplex, delta):
     Vertices i, j of the facet fall in the same part exactly when the link
     of the facet minus {i, j} is a triangle.  Defined for closed complexes
     of type within {3, 4}; the induced graph must be a disjoint union of
-    cliques, otherwise the input is rejected as corrupt.
+    cliques, otherwise the input is rejected as corrupt.  It is one exactly
+    when adjacent vertices share their closed neighbourhoods, and the parts
+    are then those neighbourhoods.
     """
     delta = frozenset(delta)
     if delta not in K.facets:
@@ -380,7 +382,7 @@ def characteristic_partition(K: SimplicialComplex, delta):
         parts = [tuple(verts)] if len(cyc) == 3 else [(verts[0],), (verts[1],)]
         return Partition(parts)
 
-    same = defaultdict(set)
+    closed = {v: {v} for v in verts}  # closed neighbourhoods in the 3-link graph
     for i, j in itertools.combinations(verts, 2):
         report = link_of_face(K, delta - {i, j})
         if len(report.cycles) != 1 or report.sizes[0] not in (3, 4):
@@ -388,24 +390,10 @@ def characteristic_partition(K: SimplicialComplex, delta):
                 f"complex type is not within {{3, 4}}: link of "
                 f"{sorted(delta - {i, j})} has sizes {report.sizes}")
         if report.sizes[0] == 3:
-            same[i].add(j)
-            same[j].add(i)
-    parts = []
-    left = set(verts)
-    while left:
-        v = min(left)
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in same[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        for a in comp:
-            if same[a] != comp - {a}:
-                raise ValueError(
-                    "the 3-link graph on the facet is not a union of cliques "
-                    "(corrupt input)")
-        parts.append(tuple(sorted(comp)))
-        left -= comp
-    return Partition(parts)
+            closed[i].add(j)
+            closed[j].add(i)
+    if any(closed[w] != nb for nb in closed.values() for w in nb):
+        raise ValueError(
+            "the 3-link graph on the facet is not a union of cliques "
+            "(corrupt input)")
+    return Partition(set(map(frozenset, closed.values())))

@@ -133,6 +133,17 @@ class TestAnalyze:
         # the skeleton, then one band per zone
         assert len(graphs) == 1 + 7
 
+    def test_quad_report_traces_the_zones_once(self, capsys, monkeypatch):
+        # the zone walker is the only caller of boundary_edges
+        calls = []
+        boundary_edges = quadrillage.Quadrillage.boundary_edges
+        monkeypatch.setattr(quadrillage.Quadrillage, "boundary_edges",
+                            lambda Q: calls.append(Q) or boundary_edges(Q))
+        code, out, _ = run_cli(capsys, "analyze", str(FIXTURES / "grid_5x5.txt"))
+        assert code == 0
+        assert "zones: 10" in out and "embeddable by zones: yes" in out
+        assert len(calls) == 1
+
     def test_tsv_mode(self, capsys):
         code, out, _ = run_cli(capsys, "analyze",
                                str(FIXTURES / "octahedron.txt"), "--tsv")

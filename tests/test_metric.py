@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import read_fixture
+from conftest import FIXTURES, read_fixture
 from shortlinks import (
     CutDecomposition,
     GonalVector,
@@ -115,8 +115,8 @@ class TestGonal:
     def test_k5_minus_triangle_violated(self):
         violations = kgonal_violations(k5_minus_triangle(), 2)
         witness = {1: 1, 2: 1, 3: 1, 4: -1, 5: -1}
-        assert any(v.as_dict() == witness for v in violations)
-        value = next(v for v in violations if v.as_dict() == witness)
+        assert any(dict(v.coefficients) == witness for v in violations)
+        value = next(v for v in violations if dict(v.coefficients) == witness)
         assert value.value(k5_minus_triangle()) == 1
 
     def test_complete_graph_clean(self):
@@ -176,16 +176,25 @@ def reference_kgonal_violations(G: Graph, bound: int) -> list:
     return violations
 
 
+def adjacency(G: Graph) -> dict:
+    adj = {v: set() for v in G.vertices}
+    for u, v in G.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
     """Each pair an edge with probability 1/2, then every vertex joined to 1."""
     edges = [e for e in itertools.combinations(range(1, n + 1), 2)
              if rng.random() < 0.5]
     G = Graph(range(1, n + 1), edges)
     while not G.is_connected():
+        adj = adjacency(G)
         reach = {1}
         stack = [1]
         while stack:
-            for w in G.neighbors(stack.pop()):
+            for w in adj[stack.pop()]:
                 if w not in reach:
                     reach.add(w)
                     stack.append(w)
@@ -272,7 +281,8 @@ class TestPartialCube:
         G = hypercube_graph(3)
         lab = partial_cube(G)
         for u, v in itertools.combinations(G.vertices, 2):
-            assert lab.hamming(u, v) == G.distance(u, v)
+            hamming = sum(a != b for a, b in zip(lab.address[u], lab.address[v]))
+            assert hamming == G.distance(u, v)
 
     def test_partial_cube_gives_scale1_certificate(self):
         for G in (hypercube_graph(3), cycle_graph(6), cycle_graph(4)):
@@ -427,6 +437,119 @@ class TestCutConeAgainstReference:
             cut_cone_decompose(complete_minus_matching(6, 1))
 
 
+def reference_partial_cube(G: Graph):
+    """Bipartiteness first, then each edge's split from four distance calls
+    per vertex; the labeling (audited) or None."""
+    if not G.is_connected():
+        raise ValueError("partial-cube recognition needs a connected graph")
+    if not G.is_bipartite():
+        return None
+    verts = G.vertices
+    splits = {}
+    for u, v in G.edges:
+        side_u = frozenset(w for w in verts
+                           if G.distance(w, u) < G.distance(w, v))
+        side_v = frozenset(w for w in verts
+                           if G.distance(w, v) < G.distance(w, u))
+        key = (side_u, side_v) if min(side_u) < min(side_v) else (side_v, side_u)
+        splits.setdefault(key, []).append((u, v))
+    classes = sorted(splits, key=lambda key: sorted(map(min, key)))
+    base = verts[0]
+    address = {}
+    for v in verts:
+        bits = []
+        for side_a, side_b in classes:
+            if v in side_a:
+                bits.append(0 if base in side_a else 1)
+            elif v in side_b:
+                bits.append(0 if base in side_b else 1)
+            else:
+                return None  # split does not cover the graph
+        address[v] = tuple(bits)
+    for u, v in itertools.combinations(verts, 2):
+        if sum(map(int.__ne__, address[u], address[v])) != G.distance(u, v):
+            return None
+    return metric.PartialCubeLabeling(dimension=len(classes), address=address)
+
+
+def random_sparse_graph(rng: random.Random, n: int) -> Graph:
+    """A random tree on 1..n plus up to three more edges: connected, and
+    both bipartite and not."""
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges.update(rng.sample(pairs, rng.randint(0, 3)))
+    return Graph(range(1, n + 1), edges)
+
+
+def fixture_graphs() -> dict:
+    """Every graph fixture and the skeleton of every quad fixture, by file name."""
+    graphs = {}
+    for path in sorted(FIXTURES.glob("*.txt")):
+        text = path.read_text(encoding="utf-8")
+        keyword = text.split(maxsplit=1)[0]
+        if keyword == "graph":
+            graphs[path.name] = parse_graph(text)
+        elif keyword == "quad":
+            graphs[path.name] = parse_quadrillage(text).skeleton()
+    return graphs
+
+
+FIXTURE_GRAPHS = fixture_graphs()
+
+
+def assert_same_partial_cube(G: Graph) -> bool:
+    """partial_cube agrees with the reference; True for a partial cube."""
+    if not G.is_connected():
+        for recognize in (partial_cube, reference_partial_cube):
+            with pytest.raises(ValueError, match="connected graph"):
+                recognize(G)
+        return False
+    lab, ref = partial_cube(G), reference_partial_cube(G)
+    assert (lab is None) == (ref is None)
+    if lab is not None:
+        assert (lab.dimension, lab.address) == (ref.dimension, ref.address)
+    return lab is not None
+
+
+class TestPartialCubeAgainstReference:
+    @pytest.mark.parametrize("name", sorted(FIXTURE_GRAPHS))
+    def test_fixtures(self, name):
+        assert_same_partial_cube(FIXTURE_GRAPHS[name])
+
+    def test_cycles_hypercubes_and_complete_minus_matchings(self):
+        graphs = [cycle_graph(k) for k in range(3, 10)]
+        graphs += [hypercube_graph(d) for d in range(1, 5)]
+        graphs += [complete_minus_matching(m, h)
+                   for m in range(1, 10) for h in range(m // 2 + 1)]
+        verdicts = [assert_same_partial_cube(G) for G in graphs]
+        assert verdicts[:7] == [k % 2 == 0 for k in range(3, 10)]
+        assert all(verdicts[7:11])
+
+    def test_grid_and_torus_skeletons(self):
+        for p in range(1, 5):
+            for q in range(1, 5):
+                assert assert_same_partial_cube(grid(p, q).skeleton())
+        for p in range(3, 6):
+            for q in range(3, 6):
+                assert assert_same_partial_cube(torus(p, q).skeleton()) == (
+                    p % 2 == q % 2 == 0)
+
+    def test_random_sparse_graphs(self):
+        verdicts = [assert_same_partial_cube(
+            random_sparse_graph(random.Random(seed), 5 + seed % 5))
+            for seed in range(40)]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_decides_without_a_bipartiteness_test(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError("partial_cube ran a separate bipartiteness test")
+        monkeypatch.setattr(Graph, "is_bipartite", refuse)
+        assert partial_cube(cycle_graph(5)) is None
+        assert partial_cube(complete_graph(3)) is None
+        assert partial_cube(cycle_graph(6)).dimension == 3
+        assert partial_cube(hypercube_graph(3)).dimension == 3
+
+
 class TestL1ImpliesHypermetric:
     """The implication the CLI relies on to skip the k-gonal search."""
 
@@ -537,13 +660,14 @@ def connected_graph(draw, max_n=6):
     edges = [e for e, keep in zip(pairs, mask) if keep]
     # connect stragglers to vertex 1 so the metric exists
     G = Graph(range(1, n + 1), edges)
+    adj = adjacency(G)
     missing = set()
     for v in G.vertices:
         reach = {v}
         stack = [v]
         while stack:
             u = stack.pop()
-            for w in G.neighbors(u):
+            for w in adj[u]:
                 if w not in reach:
                     reach.add(w)
                     stack.append(w)

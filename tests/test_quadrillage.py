@@ -155,6 +155,15 @@ class TestZones:
         assert sorted(e for z in zs for e in map(sorted, z.edges)) == \
             sorted(map(sorted, Q.edges))
 
+    def test_each_call_returns_a_fresh_list(self):
+        Q = grid(2, 3)
+        first = zones(Q)
+        expected = list(first)
+        first.reverse()
+        first.pop()
+        assert zones(Q) == expected
+        assert zones(Q) is not zones(Q)
+
     def test_banana_zone_not_simple(self):
         zs = zones(banana())
         assert len(zs) == 1
