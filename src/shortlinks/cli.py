@@ -24,7 +24,7 @@ from .quadrillage import (Quadrillage, embeddable_by_zones, quadrillage_type,
                           zone_is_convex, zone_is_simple, zones)
 from .simplicial import (Partition, SimplicialComplex, complex_type,
                          euler_characteristic, is_closed_pseudomanifold,
-                         link_of_face, skeleton)
+                         link_of_face, long_link_faces, skeleton)
 from .symmetry import automorphism_count, coxeter_order_bruteforce
 
 TABLE_COLUMNS = ("partition", "skeleton", "facets", "aut", "orbits", "cox",
@@ -154,20 +154,12 @@ def _simplicial_report(K: SimplicialComplex, bound: int):
     except ValueError as exc:
         pairs.append(("classification", f"failed: {exc}"))
     if K.dim >= 3:
-        flagged = []
-        count = 0
-        for face in sorted(K.face_facets(), key=sorted):
-            report = link_of_face(K, face)
-            if sum(report.sizes) >= 5 and len(report.cycles) == 1:
-                count += 1
-                if is_isometric_cycle(G, report.cycles[0]):
-                    flagged.append(",".join(str(v) for v in sorted(face)))
-        if flagged:
-            pairs.append(("isometric link obstruction",
-                          "; ".join(flagged) + " (skeleton not embeddable)"))
-        else:
-            pairs.append(("isometric link obstruction",
-                          f"none ({count} links of size >= 5)"))
+        long = long_link_faces(K, 5)
+        flagged = [",".join(str(v) for v in sorted(face)) for face in long
+                   if is_isometric_cycle(G, link_of_face(K, face).cycles[0])]
+        pairs.append(("isometric link obstruction",
+                      "; ".join(flagged) + " (skeleton not embeddable)" if flagged
+                      else f"none ({len(long)} links of size >= 5)"))
     pairs.extend(_embeddability_report(G, bound))
     return pairs
 

@@ -306,11 +306,12 @@ class PartialCubeLabeling:
     address: dict
 
 
-def _is_scaled_embedding(address, scale: int, vertices, distance) -> bool:
+def _is_scaled_embedding(address, scale: int, vertices, rows) -> bool:
     """Is the Hamming distance of every two addresses ``scale`` times their
-    ``distance``?  This decides or audits every address certificate."""
-    return all(sum(map(ne, address[u], address[v])) == scale * distance(u, v)
-               for u, v in itertools.combinations(vertices, 2))
+    distance ``rows[i][j]``, i < j indexing ``vertices``?  This decides or
+    audits every address certificate."""
+    return all(sum(map(ne, address[u], address[v])) == scale * rows[i][j]
+               for (i, u), (j, v) in itertools.combinations(enumerate(vertices), 2))
 
 
 def partial_cube(G: Graph):
@@ -345,7 +346,7 @@ def partial_cube(G: Graph):
     classes = sorted(splits, key=lambda side: side & -side)
     address = {v: tuple(side >> i & 1 for side in classes)
                for i, v in enumerate(G.vertices)}
-    if not _is_scaled_embedding(address, 1, G.vertices, G.distance):
+    if not _is_scaled_embedding(address, 1, G.vertices, rows):
         return None
     return PartialCubeLabeling(dimension=len(classes), address=address)
 
@@ -468,8 +469,9 @@ def embedding_from_cuts(dec: CutDecomposition):
             count = dec.weights[S] * scale
             bits.extend([1 if v in S else 0] * int(count))
         address[v] = tuple(bits)
-    if not _is_scaled_embedding(address, scale, sorted(dec.vertices),
-                                lambda u, v: dec.metric[u, v]):
+    verts = sorted(dec.vertices)
+    rows = [[dec.metric[u, v] if u < v else 0 for v in verts] for u in verts]
+    if not _is_scaled_embedding(address, scale, verts, rows):
         raise AssertionError("scaled embedding failed its audit")
     return scale, address
 
@@ -520,10 +522,10 @@ def find_scaled_embedding(G: Graph, scale: int, dim: int):
             f"{EMBED_DIMENSION_GUARD}, requested {dim}")
     if scale < 1:
         raise ValueError("scale must be a positive integer")
+    rows, index = G._distance_rows(), G._index
     order = sorted(G.vertices, key=lambda v: (-G.degree(v), v))
     n = len(order)
-    need = [[scale * G.distance(order[i], order[j]) for j in range(n)]
-            for i in range(n)]
+    need = [[scale * rows[index[u]][index[v]] for v in order] for u in order]
     if any(need[i][j] > dim for i in range(n) for j in range(n)):
         return None
     masks = _address_search(need, dim)
@@ -532,7 +534,7 @@ def find_scaled_embedding(G: Graph, scale: int, dim: int):
     address = {order[i]: tuple((masks[i] >> (dim - 1 - b)) & 1
                                for b in range(dim))
                for i in range(n)}
-    if not _is_scaled_embedding(address, scale, G.vertices, G.distance):
+    if not _is_scaled_embedding(address, scale, G.vertices, rows):
         raise AssertionError("scaled embedding failed its audit")
     return address
 

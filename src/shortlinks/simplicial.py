@@ -3,9 +3,12 @@
 A complex is determined by its set of facets (maximal faces, all of
 cardinality n+1); lower-dimensional faces are enumerated on demand.  The
 central notion is the link of an (n-2)-face: the cycles formed by the
-edges that complete it to a facet.  Every link is read from one index of
-the (n-2)-faces.  A complex whose links all have length 3 or 4 induces a
-partition of each facet's vertices (its characteristic partition); the
+edges that complete it to a facet.  Faces are vertex bitmasks; every link
+is read from one mask-keyed index of the (n-2)-faces.  Closedness, type
+and classification need only cycle lengths: a cycle has at least 3 edges,
+so a 2-regular link of fewer than 6 edges is one cycle, and only longer
+links are walked.  A complex whose links all have length 3 or 4 induces
+a partition of each facet's vertices (its characteristic partition); the
 complexes themselves are classified in :mod:`shortlinks.partitions`.
 """
 
@@ -38,13 +41,16 @@ class SimplicialComplex:
 
     Facets are deduplicated frozensets of vertex ids, each of cardinality
     ``dim + 1``; the vertex set is their union.  Instances are immutable
-    and hashable.  Cached on first use: the ridge incidences
-    (:meth:`ridge_facets`), the (n-2)-face index (:meth:`face_facets`),
-    and the link of each (n-2)-face asked for through :func:`link_of_face`.
-    Both incidence maps hold the facet frozensets themselves, not copies.
+    and hashable.  Vertex i of the sorted ``vertices`` is bit ``1 << i``
+    of a face mask.  Cached on first use, by mask: each ridge's facet count
+    (:meth:`_ridge_table`, its own pass, so a complex rejected for its
+    boundary builds nothing more), the edges completing each (n-2)-face
+    (:meth:`_face_table`, the only face index) and each link's cycle
+    lengths.  Cycles are decoded only for :func:`link_of_face`.
     """
 
-    __slots__ = ("dim", "facets", "_ridge_facets", "_face_facets", "_links")
+    __slots__ = ("dim", "facets", "vertices", "_bit", "_ridges", "_faces",
+                 "_sizes", "_links")
 
     def __init__(self, dim: int, facets) -> None:
         if dim < 1:
@@ -58,8 +64,12 @@ class SimplicialComplex:
                     f"facet {sorted(f)} has {len(f)} vertices, expected {dim + 1}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "facets", fset)
-        object.__setattr__(self, "_ridge_facets", None)
-        object.__setattr__(self, "_face_facets", None)
+        object.__setattr__(self, "vertices", tuple(sorted(frozenset().union(*fset))))
+        object.__setattr__(self, "_bit",
+                           {v: 1 << i for i, v in enumerate(self.vertices)})
+        object.__setattr__(self, "_ridges", None)
+        object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_sizes", {})
         object.__setattr__(self, "_links", {})
 
     def __setattr__(self, name, value):
@@ -72,10 +82,6 @@ class SimplicialComplex:
         if not facets:
             raise ValueError("a complex needs at least one facet")
         return cls(len(facets[0]) - 1, facets)
-
-    @property
-    def vertices(self) -> tuple:
-        return tuple(sorted(frozenset.union(*self.facets)))
 
     @property
     def num_facets(self) -> int:
@@ -93,29 +99,32 @@ class SimplicialComplex:
         return (f"SimplicialComplex(dim={self.dim}, "
                 f"facets={self.num_facets}, vertices={len(self.vertices)})")
 
-    def ridge_facets(self) -> dict:
-        """Map each (n-1)-face to the sorted list of facets containing it."""
-        if self._ridge_facets is None:
-            inc = defaultdict(list)
-            for f in self.facets:
-                for v in f:
-                    inc[f - {v}].append(f)
-            object.__setattr__(self, "_ridge_facets", dict(inc))
-        return self._ridge_facets
+    def _ridge_table(self) -> dict:
+        """Ridge mask -> number of facets containing the ridge."""
+        if self._ridges is None:
+            bit = self._bit
+            object.__setattr__(self, "_ridges", Counter(
+                mask ^ bit[v] for f in self.facets
+                for mask in (sum(bit[v] for v in f),) for v in f))
+        return self._ridges
 
-    def face_facets(self) -> dict:
-        """Map each (n-2)-face to the list of facets containing it.
-
-        For ``dim == 1`` the only (n-2)-face is the empty face, which every
-        facet contains.
-        """
-        if self._face_facets is None:
-            inc = defaultdict(list)
+    def _face_table(self) -> dict:
+        """(n-2)-face mask -> the edges completing it to a facet, as masks,
+        in first-seen order of a scan of the facets and of their vertices.
+        For ``dim == 1`` the only (n-2)-face is the empty face, mask 0."""
+        if self._faces is None:
+            bit, faces = self._bit, defaultdict(list)
             for f in self.facets:
-                for pair in itertools.combinations(f, 2):
-                    inc[f.difference(pair)].append(f)
-            object.__setattr__(self, "_face_facets", dict(inc))
-        return self._face_facets
+                bits = [bit[v] for v in f]
+                mask = sum(bits)
+                for a, b in itertools.combinations(bits, 2):
+                    faces[mask ^ a ^ b].append(a | b)
+            object.__setattr__(self, "_faces", dict(faces))
+        return self._faces
+
+    def _face(self, mask: int) -> Face:
+        """The vertices whose bits are set in ``mask``."""
+        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -161,44 +170,61 @@ def faces_of_dim(K: SimplicialComplex, k: int) -> set:
 
 def is_closed_pseudomanifold(K: SimplicialComplex) -> ClosednessReport:
     """Check that every (n-1)-face lies in exactly two facets."""
-    boundary = []
-    for ridge, facs in K.ridge_facets().items():
-        if len(facs) > 2:
-            return ClosednessReport("bad", bad_face=ridge, bad_count=len(facs))
-        if len(facs) == 1:
-            boundary.append(ridge)
+    ridges = K._ridge_table()
+    for ridge, count in ridges.items():
+        if count > 2:
+            return ClosednessReport("bad", bad_face=K._face(ridge), bad_count=count)
+    boundary = sorted((K._face(r) for r, c in ridges.items() if c == 1), key=sorted)
     if boundary:
-        boundary.sort(key=sorted)
         return ClosednessReport("boundary", boundary=tuple(boundary))
     return ClosednessReport("closed")
 
 
-def _cycles_from_edges(edges) -> list:
-    """Decompose a set of edges into cycles; raise if not 2-regular."""
-    adj = defaultdict(list)
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v, nb in adj.items():
-        if len(nb) != 2:
+def _link_sizes(K: SimplicialComplex, mask: int) -> tuple:
+    """Sorted cycle lengths of the link of the (n-2)-face ``mask``, cached.
+
+    ``once`` and ``twice`` hold the vertices on at least one and two edges;
+    each must be on exactly two, or the request raises, every time.  A
+    cycle has at least 3 edges, so a link of fewer than 6 is one cycle.
+    """
+    sizes = K._sizes.get(mask)
+    if sizes is None:
+        edges = K._face_table()[mask]
+        once = twice = over = 0
+        for e in edges:
+            over |= twice & e
+            twice |= once & e
+            once |= e
+        if over or once != twice:
+            degree = Counter(K.vertices[b.bit_length() - 1]
+                             for e in edges for b in (e & -e, e & (e - 1)))
+            v, d = next((v, d) for v, d in degree.items() if d != 2)
             raise ValueError(
                 f"link edges do not decompose into cycles: vertex {v} has "
-                f"degree {len(nb)} (complex is not closed)")
-    cycles = []
-    remaining = {frozenset(e) for e in edges}
-    while remaining:
-        a, b = sorted(min(remaining, key=sorted))
-        cyc = [a, b]
-        remaining.discard(frozenset((a, b)))
-        while True:
-            prev, cur = cyc[-2], cyc[-1]
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            remaining.discard(frozenset((cur, nxt)))
-            if nxt == cyc[0]:
-                break
-            cyc.append(nxt)
-        cycles.append(tuple(cyc))
-    cycles.sort(key=lambda c: (len(c), c))
+                f"degree {d} (complex is not closed)")
+        sizes = ((len(edges),) if len(edges) < 6 else
+                 tuple(sorted(map(len, _link_cycles(edges)))))
+        K._sizes[mask] = sizes
+    return sizes
+
+
+def _link_cycles(edges) -> list:
+    """The cycles of a 2-regular list of edge masks, as lists of vertex
+    bits: each starts at its lowest bit, then goes to the lower neighbour."""
+    adj = defaultdict(int)
+    for e in edges:
+        low = e & -e
+        adj[low] |= e ^ low
+        adj[e ^ low] |= low
+    cycles, rest = [], sum(adj)
+    while rest:
+        first = prev = rest & -rest
+        cyc, cur = [first], adj[first] & -adj[first]
+        while cur != first:
+            cyc.append(cur)
+            prev, cur = cur, adj[cur] ^ prev
+        rest ^= sum(cyc)
+        cycles.append(cyc)
     return cycles
 
 
@@ -207,9 +233,10 @@ def link_of_face(K: SimplicialComplex, F) -> LinkReport:
 
     Each facet containing ``F`` contributes the unique edge that extends
     ``F`` to it.  For ``dim == 1`` the only (n-2)-face is the empty face,
-    whose link is the whole complex (a union of cycles).  The facets come
-    from :meth:`SimplicialComplex.face_facets` and the report is cached on
-    ``K``; a link that is not a union of cycles raises on every request.
+    whose link is the whole complex (a union of cycles).  The report is
+    cached on ``K``; a link that is not a union of cycles raises on every
+    request.  Each cycle starts at its smallest vertex, then its smaller
+    neighbour; cycles are sorted by length, then by vertex sequence.
     """
     face = frozenset(F)
     report = K._links.get(face)
@@ -219,11 +246,13 @@ def link_of_face(K: SimplicialComplex, F) -> LinkReport:
     if len(face) != want:
         raise ValueError(
             f"expected an (n-2)-face with {want} vertices, got {sorted(face)}")
-    facets = K.face_facets().get(face)
-    if facets is None:
+    mask = sum(K._bit[v] for v in face) if face.issubset(K._bit) else -1
+    if mask not in K._face_table():
         raise ValueError(f"{sorted(face)} is not a face of the complex")
-    cycles = _cycles_from_edges([tuple(sorted(f - face)) for f in facets])
-    sizes = tuple(sorted(len(c) for c in cycles))
+    sizes = _link_sizes(K, mask)
+    cycles = sorted((tuple(K.vertices[b.bit_length() - 1] for b in cyc)
+                     for cyc in _link_cycles(K._faces[mask])),
+                    key=lambda c: (len(c), c))
     report = LinkReport(face=face, cycles=tuple(cycles), sizes=sizes)
     K._links[face] = report
     return report
@@ -231,10 +260,16 @@ def link_of_face(K: SimplicialComplex, F) -> LinkReport:
 
 def complex_type(K: SimplicialComplex) -> set:
     """The set of all link cycle lengths over the (n-2)-faces of ``K``."""
-    sizes = set()
-    for face in K.face_facets():
-        sizes.update(link_of_face(K, face).sizes)
-    return sizes
+    return set(itertools.chain.from_iterable(
+        _link_sizes(K, mask) for mask in K._face_table()))
+
+
+def long_link_faces(K: SimplicialComplex, least: int) -> list:
+    """The (n-2)-faces whose link is one cycle of at least ``least`` edges,
+    sorted by their sorted vertices; no cycle is decoded."""
+    return sorted((K._face(mask) for mask in K._face_table()
+                   if len(sizes := _link_sizes(K, mask)) == 1 and sizes[0] >= least),
+                  key=sorted)
 
 
 def skeleton(K: SimplicialComplex) -> Graph:
@@ -250,7 +285,7 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     Faces are vertex bitmasks; the (k-1)-faces are the k-faces with one
     set bit cleared, so each dimension is built from the one above it.
     """
-    bit = {v: 1 << i for i, v in enumerate(K.vertices)}
+    bit = K._bit
     level = {sum(bit[v] for v in f) for f in K.facets}
     chi = 0
     for k in range(K.dim, -1, -1):
@@ -361,39 +396,40 @@ def characteristic_partition(K: SimplicialComplex, delta):
     of the facet minus {i, j} is a triangle.  Defined for closed complexes
     of type within {3, 4}; the induced graph must be a disjoint union of
     cliques, otherwise the input is rejected as corrupt.  It is one exactly
-    when adjacent vertices share their closed neighbourhoods, and the parts
-    are then those neighbourhoods.
+    when the vertices sharing each closed neighbourhood are that whole
+    neighbourhood, and the parts are then those neighbourhoods.
     """
     delta = frozenset(delta)
     if delta not in K.facets:
         raise ValueError(f"{sorted(delta)} is not a facet of the complex")
     verts = sorted(delta)
+    bit = K._bit
+    mask = sum(bit[v] for v in verts)
     if K.dim == 1:
-        # the empty face is the unique (n-2)-face; use the cycle through delta
-        report = link_of_face(K, ())
-        for cyc in report.cycles:
-            if delta <= set(cyc):
-                break
-        else:  # pragma: no cover - delta is an edge of some cycle by closedness
-            raise ValueError("facet not on any link cycle")
-        if len(cyc) not in (3, 4):
+        # the empty face is the only (n-2)-face: check its link, take delta's cycle
+        _link_sizes(K, 0)
+        size = next(len(c) for c in _link_cycles(K._faces[0]) if sum(c) & mask == mask)
+        if size not in (3, 4):
             raise ValueError(f"complex type is not within {{3, 4}}: "
-                             f"link of the empty face has length {len(cyc)}")
-        parts = [tuple(verts)] if len(cyc) == 3 else [(verts[0],), (verts[1],)]
-        return Partition(parts)
-
-    closed = {v: {v} for v in verts}  # closed neighbourhoods in the 3-link graph
+                             f"link of the empty face has length {size}")
+        return Partition([verts] if size == 3 else [verts[:1], verts[1:]])
+    closed = {v: bit[v] for v in verts}  # closed neighbourhoods in the 3-link graph
     for i, j in itertools.combinations(verts, 2):
-        report = link_of_face(K, delta - {i, j})
-        if len(report.cycles) != 1 or report.sizes[0] not in (3, 4):
+        face = mask ^ bit[i] ^ bit[j]
+        # cache read inline: classify runs this for every pair of every facet
+        sizes = K._sizes.get(face) or _link_sizes(K, face)
+        if len(sizes) != 1 or sizes[0] not in (3, 4):
             raise ValueError(
                 f"complex type is not within {{3, 4}}: link of "
-                f"{sorted(delta - {i, j})} has sizes {report.sizes}")
-        if report.sizes[0] == 3:
-            closed[i].add(j)
-            closed[j].add(i)
-    if any(closed[w] != nb for nb in closed.values() for w in nb):
+                f"{sorted(delta - {i, j})} has sizes {sizes}")
+        if sizes[0] == 3:
+            closed[i] |= bit[j]
+            closed[j] |= bit[i]
+    parts = defaultdict(list)  # closed neighbourhood -> vertices that have it
+    for v, nb in closed.items():
+        parts[nb].append(v)
+    if any(sum(bit[v] for v in part) != nb for nb, part in parts.items()):
         raise ValueError(
             "the 3-link graph on the facet is not a union of cliques "
             "(corrupt input)")
-    return Partition(set(map(frozenset, closed.values())))
+    return Partition(parts.values())

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -8,6 +9,7 @@ from shortlinks import (
     are_isomorphic,
     build_kp,
     characteristic_partition,
+    classify,
     complex_type,
     enumerate_partitions,
     euler_characteristic,
@@ -15,10 +17,11 @@ from shortlinks import (
     is_closed_pseudomanifold,
     link_of_face,
     make_face,
+    product_dual,
     skeleton,
 )
 from conftest import read_fixture
-from shortlinks import _bijections
+from shortlinks import _bijections, simplicial
 from shortlinks.formats import parse_complex
 
 
@@ -152,7 +155,8 @@ def scanned_face_facets(K) -> dict:
     return {face: {f for f in K.facets if face <= f} for face in faces}
 
 
-SIMPLICIAL_FIXTURES = ["figure1.txt", "kp_1_23.txt", "octahedron.txt", "simplex3.txt"]
+SIMPLICIAL_FIXTURES = ["c5_join_triangle.txt", "figure1.txt", "kp_1_23.txt",
+                       "octahedron.txt", "simplex3.txt"]
 
 
 class TestFaceIndex:
@@ -161,17 +165,20 @@ class TestFaceIndex:
         *(build_kp(p) for m in range(2, 6) for p in enumerate_partitions(m)),
     ])
     def test_matches_facet_scan(self, K):
-        index = K.face_facets()
-        assert {face: set(fs) for face, fs in index.items()} == scanned_face_facets(K)
-        assert all(len(fs) == len(set(fs)) for fs in index.values())
-        # entries are the complex's own facet objects, not copies
-        own = {id(f) for f in K.facets}
-        assert all(id(f) in own for fs in index.values() for f in fs)
+        ridges, faces = K._ridge_table(), K._face_table()
+        decoded = {K._face(mask): {K._face(mask | e) for e in edges}
+                   for mask, edges in faces.items()}
+        assert decoded == scanned_face_facets(K)
+        # each link edge is two vertices outside its face, listed once
+        assert all(e.bit_count() == 2 and not e & mask and edges.count(e) == 1
+                   for mask, edges in faces.items() for e in edges)
+        assert ({K._face(r): c for r, c in ridges.items()}
+                == Counter(f - {v} for f in K.facets for v in f))
 
     def test_dim1_disjoint_triangle_and_square(self):
         K = SimplicialComplex(1, [[1, 2], [2, 3], [1, 3],
                                   [4, 5], [5, 6], [6, 7], [4, 7]])
-        assert list(K.face_facets()) == [frozenset()]
+        assert list(K._face_table()) == [0]
         assert complex_type(K) == {3, 4}
 
     def test_boundary_complex_good_and_bad_links(self):
@@ -185,6 +192,161 @@ class TestFaceIndex:
         assert link_of_face(K, [1]) is link_of_face(K, [1])
         with pytest.raises(ValueError):
             link_of_face(K, [2])
+
+
+def reference_cycles(edges) -> list:
+    """The frozenset link walk: decompose edges into cycles, or raise."""
+    adj = defaultdict(list)
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    for v, nb in adj.items():
+        if len(nb) != 2:
+            raise ValueError(
+                f"link edges do not decompose into cycles: vertex {v} has "
+                f"degree {len(nb)} (complex is not closed)")
+    cycles = []
+    remaining = {frozenset(e) for e in edges}
+    while remaining:
+        a, b = sorted(min(remaining, key=sorted))
+        cyc = [a, b]
+        remaining.discard(frozenset((a, b)))
+        while True:
+            prev, cur = cyc[-2], cyc[-1]
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            remaining.discard(frozenset((cur, nxt)))
+            if nxt == cyc[0]:
+                break
+            cyc.append(nxt)
+        cycles.append(tuple(cyc))
+    cycles.sort(key=lambda c: (len(c), c))
+    return cycles
+
+
+def reference_links(K) -> dict:
+    """Each (n-2)-face, in first-seen order of a facet scan, mapped to its
+    link cycles, or to the text of the ValueError its walk raises."""
+    edges = {}
+    for f in K.facets:
+        for pair in itertools.combinations(f, 2):
+            edges.setdefault(f.difference(pair), []).append(tuple(sorted(pair)))
+    links = {}
+    for face, es in edges.items():
+        try:
+            links[face] = tuple(reference_cycles(es))
+        except ValueError as exc:
+            links[face] = str(exc)
+    return links
+
+
+def reference_partition(K, links, delta) -> Partition:
+    """The characteristic partition read from ``reference_links``."""
+    verts = sorted(delta)
+    if K.dim == 1:
+        if isinstance(links[frozenset()], str):
+            raise ValueError(links[frozenset()])
+        cyc = next(c for c in links[frozenset()] if delta <= set(c))
+        if len(cyc) not in (3, 4):
+            raise ValueError(f"complex type is not within {{3, 4}}: "
+                             f"link of the empty face has length {len(cyc)}")
+        return Partition([verts] if len(cyc) == 3 else [[verts[0]], [verts[1]]])
+    closed = {v: {v} for v in verts}
+    for i, j in itertools.combinations(verts, 2):
+        cycles = links[delta - {i, j}]
+        if isinstance(cycles, str):
+            raise ValueError(cycles)
+        sizes = tuple(sorted(len(c) for c in cycles))
+        if len(cycles) != 1 or sizes[0] not in (3, 4):
+            raise ValueError(
+                f"complex type is not within {{3, 4}}: link of "
+                f"{sorted(delta - {i, j})} has sizes {sizes}")
+        if sizes == (3,):
+            closed[i].add(j)
+            closed[j].add(i)
+    if any(closed[w] != nb for nb in closed.values() for w in nb):
+        raise ValueError("the 3-link graph on the facet is not a union of "
+                         "cliques (corrupt input)")
+    return Partition(set(map(frozenset, closed.values())))
+
+
+def cycle_join(a: int, b: int) -> SimplicialComplex:
+    """The join of the cycles C_a (vertices 1..a) and C_b (a+1..a+b)."""
+    ea = [(i, i % a + 1) for i in range(1, a + 1)]
+    eb = [(a + i, a + i % b + 1) for i in range(1, b + 1)]
+    return SimplicialComplex(3, [e + f for e in ea for f in eb])
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+CLOSED_CASES = [
+    *(parse_complex(read_fixture(name)) for name in SIMPLICIAL_FIXTURES),
+    *(make(p) for m in range(2, 7) for p in enumerate_partitions(m)
+      for make in (build_kp, product_dual)),
+    *(cycle_join(a, b) for a in range(3, 8) for b in range(3, 8)),
+    SimplicialComplex(1, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]),
+    SimplicialComplex(1, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]]),
+    SimplicialComplex(1, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [6, 7], [4, 7]]),
+]
+OPEN_CASES = [
+    SimplicialComplex(2, [[1, 2, 3]]),
+    SimplicialComplex(2, [[1, 2, 3], [1, 2, 4], [1, 2, 5]]),
+    SimplicialComplex(2, [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 2]]),
+    SimplicialComplex(1, [[1, 2], [2, 3], [1, 3], [1, 4]]),
+    SimplicialComplex(3, sorted(build_kp(Partition.from_spec("1|2,3|4")).facets,
+                                key=sorted)[1:]),
+    SimplicialComplex(3, [*cycle_join(3, 5).facets, [1, 2, 4, 9]]),
+]
+
+
+class TestReferenceLinks:
+    @pytest.mark.parametrize("K", CLOSED_CASES + OPEN_CASES)
+    def test_links_type_and_partitions_match_the_frozenset_walk(self, K):
+        links = reference_links(K)
+        for face, cycles in links.items():
+            if isinstance(cycles, str):
+                with pytest.raises(ValueError) as info:
+                    link_of_face(K, face)
+                assert str(info.value) == cycles
+            else:
+                report = link_of_face(K, face)
+                assert report.cycles == cycles
+                assert report.sizes == tuple(sorted(len(c) for c in cycles))
+        errors = [c for c in links.values() if isinstance(c, str)]
+        expected = errors[0] if errors else {len(c) for cs in links.values() for c in cs}
+        assert outcome(lambda: complex_type(K)) == expected
+        for delta in K.facets:
+            assert (outcome(lambda: characteristic_partition(K, delta))
+                    == outcome(lambda: reference_partition(K, links, delta)))
+
+    def test_dim1_two_triangles_against_a_hexagon(self):
+        two, hexagon = CLOSED_CASES[-3], CLOSED_CASES[-2]
+        assert link_of_face(two, []).sizes == (3, 3)
+        assert link_of_face(hexagon, []).sizes == (6,)
+        assert link_of_face(hexagon, []).cycles == ((1, 2, 3, 4, 5, 6),)
+
+    @pytest.mark.parametrize("K", OPEN_CASES)
+    def test_open_complexes_are_rejected(self, K):
+        assert not is_closed_pseudomanifold(K).is_closed
+        assert any(isinstance(c, str) for c in reference_links(K).values())
+
+
+def test_types_and_partitions_decode_no_cycles(monkeypatch):
+    def refuse(K, F):
+        raise AssertionError(f"cycles of {sorted(F)} decoded")
+
+    monkeypatch.setattr(simplicial, "link_of_face", refuse)
+    for spec in ("1|2|3", "1|2,3|4,5"):
+        p = Partition.from_spec(spec)
+        K = build_kp(p)
+        assert complex_type(K) == ({4} if spec == "1|2|3" else {3, 4})
+        assert all(characteristic_partition(K, f).sizes == p.sizes for f in K.facets)
+        assert classify(K) == p
+    assert complex_type(figure1()) == {3, 4, 5}
 
 
 class TestComplexType:
