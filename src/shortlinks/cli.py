@@ -65,8 +65,6 @@ def _print_report(pairs, tsv: bool, out) -> None:
 
 def cmd_build_kp(args) -> int:
     p = Partition.from_spec(args.partition)
-    if not p.covers_range():
-        raise FormatError(f"partition must cover 1..{p.m}: {args.partition!r}")
     K = build_kp(p)
     text = formats.serialize_complex(K)
     s = kp_summary(p)

@@ -10,16 +10,20 @@ graph's automorphisms, so the problem is posed on orbits of cuts and of
 vertex pairs: an Aut-invariant decomposition exists whenever any does.
 Each decomposition found is expanded to every cut of its orbits and
 audited over all vertex pairs without using the group.
+
+Every certificate has one audit: its addresses, packed as ints with the
+first coordinate in the top bit, must differ in scale * distance bits.  A
+cut decomposition is audited as the addresses that repeat each cut
+scale * weight times; their Hamming distances are scale times its
+separations.  Public results give addresses as 0/1 tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import add, ne
+from operator import add
 
 from ._bijections import automorphism_generators, orbit_closure
 from .errors import GuardExceeded
@@ -113,23 +117,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return -1 not in self._table()[0]
-
-    def is_bipartite(self) -> bool:
-        color = {}
-        for s in self.vertices:
-            if s in color:
-                continue
-            color[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return False
-        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -306,12 +293,34 @@ class PartialCubeLabeling:
     address: dict
 
 
-def _is_scaled_embedding(address, scale: int, vertices, rows) -> bool:
-    """Is the Hamming distance of every two addresses ``scale`` times their
-    distance ``rows[i][j]``, i < j indexing ``vertices``?  This decides or
-    audits every address certificate."""
-    return all(sum(map(ne, address[u], address[v])) == scale * rows[i][j]
-               for (i, u), (j, v) in itertools.combinations(enumerate(vertices), 2))
+def _is_scaled_embedding(masks, scale: int, rows) -> bool:
+    """Do the packed addresses ``masks[i]`` and ``masks[j]`` differ in
+    ``scale * rows[i][j]`` bits for every i < j?  This decides or audits
+    every certificate."""
+    return all((a ^ b).bit_count() == scale * d
+               for i, (a, row) in enumerate(zip(masks, rows))
+               for b, d in zip(masks[i + 1:], row[i + 1:]))
+
+
+def _pack(columns, n: int) -> list:
+    """Addresses of positions 0..n-1 from ``(side, copies)`` columns: each
+    column adds ``copies`` coordinates that are 1 on the positions in the
+    bitmask ``side``; the first column gives the most significant bits."""
+    masks, shift = [0] * n, 0
+    for side, copies in reversed(columns):
+        ones = ((1 << copies) - 1) << shift
+        while side:
+            low = side & -side
+            masks[low.bit_length() - 1] |= ones
+            side ^= low
+        shift += copies
+    return masks
+
+
+def _unpack(vertices, masks, dim: int) -> dict:
+    """The 0/1 address tuple of each vertex, first coordinate first."""
+    shifts = range(dim - 1, -1, -1)
+    return {v: tuple([m >> b & 1 for b in shifts]) for v, m in zip(vertices, masks)}
 
 
 def partial_cube(G: Graph):
@@ -344,11 +353,11 @@ def partial_cube(G: Graph):
                 side |= 1 << i
         splits[side] = None
     classes = sorted(splits, key=lambda side: side & -side)
-    address = {v: tuple(side >> i & 1 for side in classes)
-               for i, v in enumerate(G.vertices)}
-    if not _is_scaled_embedding(address, 1, G.vertices, rows):
+    masks = _pack([(side, 1) for side in classes], len(rows))
+    if not _is_scaled_embedding(masks, 1, rows):
         return None
-    return PartialCubeLabeling(dimension=len(classes), address=address)
+    return PartialCubeLabeling(dimension=len(classes),
+                               address=_unpack(G.vertices, masks, len(classes)))
 
 
 @dataclass(frozen=True)
@@ -363,13 +372,6 @@ class CutDecomposition:
     weights: dict          # frozenset -> positive Fraction
     vertices: tuple
     metric: dict           # (u, v) with u < v -> int
-
-    def separation(self, u, v) -> Fraction:
-        total = Fraction(0)
-        for S, w in self.weights.items():
-            if (u in S) != (v in S):
-                total += w
-        return total
 
 
 def _cut_mover(images, n: int):
@@ -444,10 +446,24 @@ def cut_cone_decompose(G: Graph):
             for S in orbit:
                 weights[frozenset(verts[b] for b in range(1, n) if S >> b & 1)] = w
     dec = CutDecomposition(weights=weights, vertices=verts, metric=metric)
-    for (u, v), d in dec.metric.items():
-        if dec.separation(u, v) != d:
-            raise AssertionError("cut decomposition failed its audit")
+    _cut_addresses(dec)  # the audit
     return dec
+
+
+def _cut_addresses(dec: CutDecomposition):
+    """(scale, dimension, audited addresses of the sorted vertices): each
+    cut, by size and then by its sorted vertices, repeated scale * weight
+    times."""
+    scale = math.lcm(*(w.denominator for w in dec.weights.values()))
+    verts = sorted(dec.vertices)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    columns = [(sum(map(bit.__getitem__, S)), int(dec.weights[S] * scale))
+               for S in sorted(dec.weights, key=lambda S: (len(S), sorted(S)))]
+    masks = _pack(columns, len(verts))
+    rows = [[dec.metric[u, v] if u < v else 0 for v in verts] for u in verts]
+    if not _is_scaled_embedding(masks, scale, rows):
+        raise AssertionError("cut decomposition failed its audit")
+    return scale, sum(copies for _, copies in columns), masks
 
 
 def embedding_from_cuts(dec: CutDecomposition):
@@ -458,22 +474,8 @@ def embedding_from_cuts(dec: CutDecomposition):
     its side.  Returns (scale, address dict); the Hamming distances are
     audited against scale times the metric.
     """
-    scale = 1
-    for w in dec.weights.values():
-        scale = scale * w.denominator // math.gcd(scale, w.denominator)
-    order = sorted(dec.weights, key=lambda S: (len(S), sorted(S)))
-    address = {}
-    for v in dec.vertices:
-        bits = []
-        for S in order:
-            count = dec.weights[S] * scale
-            bits.extend([1 if v in S else 0] * int(count))
-        address[v] = tuple(bits)
-    verts = sorted(dec.vertices)
-    rows = [[dec.metric[u, v] if u < v else 0 for v in verts] for u in verts]
-    if not _is_scaled_embedding(address, scale, verts, rows):
-        raise AssertionError("scaled embedding failed its audit")
-    return scale, address
+    scale, dim, masks = _cut_addresses(dec)
+    return scale, _unpack(sorted(dec.vertices), masks, dim)
 
 
 def _address_search(need, dim: int):
@@ -528,15 +530,14 @@ def find_scaled_embedding(G: Graph, scale: int, dim: int):
     need = [[scale * rows[index[u]][index[v]] for v in order] for u in order]
     if any(need[i][j] > dim for i in range(n) for j in range(n)):
         return None
-    masks = _address_search(need, dim)
-    if masks is None:
+    found = _address_search(need, dim)
+    if found is None:
         return None
-    address = {order[i]: tuple((masks[i] >> (dim - 1 - b)) & 1
-                               for b in range(dim))
-               for i in range(n)}
-    if not _is_scaled_embedding(address, scale, G.vertices, rows):
+    by_vertex = dict(zip(order, found))
+    masks = [by_vertex[v] for v in G.vertices]
+    if not _is_scaled_embedding(masks, scale, rows):
         raise AssertionError("scaled embedding failed its audit")
-    return address
+    return _unpack(G.vertices, masks, dim)
 
 
 def a_m(m: int) -> int:

@@ -222,8 +222,7 @@ def embeddable_by_zones(Q: Quadrillage) -> bool:
     skeleton, so a disconnected skeleton raises ``ValueError``.
     """
     skel = Q.skeleton()
-    if not skel.is_connected():
-        raise ValueError("graph is disconnected; the path-metric is undefined")
+    first, index = skel._distance_rows()[0], skel._index
     chi = Q.euler_characteristic()
     expected = 2 if Q.is_closed else 1
     if chi != expected:
@@ -231,7 +230,8 @@ def embeddable_by_zones(Q: Quadrillage) -> bool:
             f"quadrillage is not a sphere or disk (Euler characteristic "
             f"{chi}, expected {expected}); the zone criterion may not apply",
             stacklevel=2)
-    if not skel.is_bipartite():
+    # an edge with both ends equally far from one vertex closes an odd cycle
+    if any(first[index[u]] == first[index[v]] for u, v in skel.edges):
         warnings.warn("skeleton is not bipartite; the zone criterion may "
                       "not apply", stacklevel=2)
     for zone in zones(Q):

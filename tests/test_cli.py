@@ -46,9 +46,14 @@ class TestBuildKp:
         assert code == 2
         assert "error" in err
 
-    def test_gap_partition_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "build-kp", "--partition", "1|3")
+    def test_gap_partition_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "f"
+        code, out, err = run_cli(capsys, "build-kp", "--partition", "1|3",
+                                 "-o", str(out_file))
         assert code == 2
+        assert (out, err) == ("", "error: partition must cover {1..2} with no "
+                                  "gaps, got 1|3\n")
+        assert not out_file.exists()
 
 
 class TestTable:
@@ -72,8 +77,13 @@ class TestTable:
 
 def golden_cases() -> list:
     """(golden file name, argv): ``analyze`` plain and ``--tsv`` on every
-    simplicial and quad fixture, ``embed --graph`` on every graph fixture."""
-    cases = []
+    simplicial and quad fixture, ``embed --graph`` on every graph fixture,
+    and three ``embed --scale --dim`` runs, two of which print addresses."""
+    cases = [(f"{stem}.embed_scale{scale}_dim{dim}.txt",
+              ["embed", str(FIXTURES / f"{stem}.txt"), "--graph",
+               "--scale", str(scale), "--dim", str(dim)])
+             for stem, scale, dim in [("k5_k2", 2, 4), ("k6_3k2", 2, 6),
+                                      ("k5_k2", 1, 4)]]
     for path in sorted(FIXTURES.glob("*.txt")):
         keyword = path.read_text(encoding="utf-8").split(maxsplit=1)[0]
         if keyword == "graph":

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -85,10 +87,6 @@ class TestGraphBasics:
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
             Graph([1, 2], [(1, 1)])
-
-    def test_bipartite(self):
-        assert hypercube_graph(4).is_bipartite()
-        assert not complete_graph(3).is_bipartite()
 
 
 class TestIsometricCycle:
@@ -301,6 +299,12 @@ class TestPartialCube:
             assert cut_cone_decompose(G) is not None
 
 
+def separation(dec: CutDecomposition, u, v) -> Fraction:
+    """Total weight of the cuts of ``dec`` with u and v on opposite sides."""
+    return sum((w for S, w in dec.weights.items() if (u in S) != (v in S)),
+               Fraction(0))
+
+
 class TestCutCone:
     def test_c5_feasible_and_known_certificate(self):
         G = cycle_graph(5)
@@ -311,7 +315,7 @@ class TestCutCone:
         hand = CutDecomposition(weights=known, vertices=G.vertices,
                                 metric=dec.metric)
         for (u, v), d in dec.metric.items():
-            assert hand.separation(u, v) == d
+            assert separation(hand, u, v) == d
 
     def test_k7_c5_infeasible(self):
         assert cut_cone_decompose(complete_minus_cycle(7, 5)) is None
@@ -379,7 +383,7 @@ def assert_audited(G: Graph, dec: CutDecomposition) -> None:
     assert dec.vertices == G.vertices
     assert all(w > 0 for w in dec.weights.values())
     for u, v in itertools.combinations(G.vertices, 2):
-        assert dec.separation(u, v) == G.distance(u, v)
+        assert separation(dec, u, v) == G.distance(u, v)
 
 
 class TestCutConeAgainstReference:
@@ -437,12 +441,31 @@ class TestCutConeAgainstReference:
             cut_cone_decompose(complete_minus_matching(6, 1))
 
 
+def is_two_colourable(G: Graph) -> bool:
+    """Colour each component from its first vertex, alternating along edges."""
+    adj, colour = adjacency(G), {}
+    for s in G.vertices:
+        if s in colour:
+            continue
+        colour[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in colour:
+                    colour[w] = 1 - colour[u]
+                    stack.append(w)
+                elif colour[w] == colour[u]:
+                    return False
+    return True
+
+
 def reference_partial_cube(G: Graph):
     """Bipartiteness first, then each edge's split from four distance calls
     per vertex; the labeling (audited) or None."""
     if not G.is_connected():
         raise ValueError("partial-cube recognition needs a connected graph")
-    if not G.is_bipartite():
+    if not is_two_colourable(G):
         return None
     verts = G.vertices
     splits = {}
@@ -540,10 +563,7 @@ class TestPartialCubeAgainstReference:
             for seed in range(40)]
         assert 0 < sum(verdicts) < len(verdicts)
 
-    def test_decides_without_a_bipartiteness_test(self, monkeypatch):
-        def refuse(G):
-            raise AssertionError("partial_cube ran a separate bipartiteness test")
-        monkeypatch.setattr(Graph, "is_bipartite", refuse)
+    def test_decides_without_a_bipartiteness_test(self):
         assert partial_cube(cycle_graph(5)) is None
         assert partial_cube(complete_graph(3)) is None
         assert partial_cube(cycle_graph(6)).dimension == 3
@@ -568,6 +588,71 @@ class TestL1ImpliesHypermetric:
         assert 0 < l1 < len(graphs)
 
 
+def reference_embedding_from_cuts(dec: CutDecomposition):
+    """Address tuples built list by list, cut by cut, and audited against
+    the Fraction separation: (scale, address dict), or AssertionError."""
+    scale = 1
+    for w in dec.weights.values():
+        scale = scale * w.denominator // math.gcd(scale, w.denominator)
+    order = sorted(dec.weights, key=lambda S: (len(S), sorted(S)))
+    address = {}
+    for v in dec.vertices:
+        bits = []
+        for S in order:
+            bits.extend([1 if v in S else 0] * int(dec.weights[S] * scale))
+        address[v] = tuple(bits)
+    for (u, v), d in dec.metric.items():
+        if separation(dec, u, v) != d:
+            raise AssertionError("reference audit failed")
+    return scale, address
+
+
+def k4_half_cuts() -> CutDecomposition:
+    G = complete_graph(4)
+    weights = {frozenset(S): Fraction(1, 2) for S in [(1, 2), (1, 3), (1, 4)]}
+    return CutDecomposition(
+        weights=weights, vertices=G.vertices,
+        metric={(u, v): 1 for u, v in itertools.combinations(G.vertices, 2)})
+
+
+def rejected(build, dec) -> bool:
+    try:
+        build(dec)
+    except AssertionError:
+        return True
+    return False
+
+
+FEASIBLE_DECOMPOSITIONS = {name: dec for name, dec in (
+    (name, cut_cone_decompose(G)) for name, G in FAMILIES.items())
+    if dec is not None}
+
+
+class TestEmbeddingFromCutsAgainstReference:
+    def test_c5_and_k4_half_cuts(self):
+        for dec in (cut_cone_decompose(cycle_graph(5)), k4_half_cuts()):
+            assert embedding_from_cuts(dec) == reference_embedding_from_cuts(dec)
+
+    def test_complete_minus_families(self):
+        for name, dec in FEASIBLE_DECOMPOSITIONS.items():
+            assert embedding_from_cuts(dec) == \
+                reference_embedding_from_cuts(dec), name
+
+    def test_perturbed_decompositions(self):
+        perturbed = [k4_half_cuts()]
+        for dec in FEASIBLE_DECOMPOSITIONS.values():
+            order = sorted(dec.weights, key=lambda S: (len(S), sorted(S)))
+            for S in order[:1] + order[-1:]:
+                for w in (dec.weights[S] / 2, dec.weights[S] + Fraction(1, 3)):
+                    perturbed.append(replace(dec, weights={**dec.weights, S: w}))
+                perturbed.append(replace(dec, weights={
+                    T: w for T, w in dec.weights.items() if T != S}))
+        verdicts = [rejected(embedding_from_cuts, dec) for dec in perturbed]
+        assert verdicts == [rejected(reference_embedding_from_cuts, dec)
+                            for dec in perturbed]
+        assert not verdicts[0] and all(verdicts[1:])
+
+
 class TestEmbeddingFromCuts:
     def test_c5_scale_two(self):
         dec = cut_cone_decompose(cycle_graph(5))
@@ -579,13 +664,7 @@ class TestEmbeddingFromCuts:
             assert ham == scale * G.distance(u, v)
 
     def test_k4_half_cuts(self):
-        G = complete_graph(4)
-        weights = {frozenset(S): Fraction(1, 2)
-                   for S in [(1, 2), (1, 3), (1, 4)]}
-        dec = CutDecomposition(
-            weights=weights, vertices=G.vertices,
-            metric={(u, v): 1 for u, v in itertools.combinations(G.vertices, 2)})
-        scale, address = embedding_from_cuts(dec)
+        scale, address = embedding_from_cuts(k4_half_cuts())
         assert scale == 2
         assert len(next(iter(address.values()))) == 3
 

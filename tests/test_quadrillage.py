@@ -266,6 +266,15 @@ class TestEmbeddableByZones:
         with pytest.warns(UserWarning, match="sphere"):
             embeddable_by_zones(torus(4, 4))
 
+    @pytest.mark.parametrize("p,q,odd", [(3, 3, True), (3, 4, True),
+                                         (4, 4, False)])
+    def test_torus_warns_when_not_bipartite(self, p, q, odd):
+        with pytest.warns(UserWarning) as caught:
+            embeddable_by_zones(torus(p, q))
+        messages = [str(w.message) for w in caught]
+        assert any("sphere" in m for m in messages)
+        assert any("bipartite" in m for m in messages) == odd
+
     def test_agrees_with_partial_cube_on_planar_fixtures(self):
         import warnings
         fixtures = [cube(), grid(1, 1), grid(2, 3), grid(3, 3),
