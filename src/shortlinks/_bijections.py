@@ -17,10 +17,15 @@ whether w lies in the orbit of b_d under G_d; the bijection it finds is
 the transversal element T_d[w] (Sims 1970; Seress, *Permutation Group
 Algorithms*, 2003, ch. 4).  By orbit-stabilizer, |Aut| = prod |T_d|, and
 every automorphism is exactly one product t_0 t_1 ... with t_d in T_d.
-The non-identity transversal elements generate Aut;
-:func:`automorphism_generators` keeps the ones each level needs, which is
-how the metric layer gets the automorphisms of a graph (its edges as
-2-sets) from the same routine.
+The chain is built once per facet family by :func:`_stabilizer_chain`
+and handed to the routines that read it, so a caller keeping it (as
+:mod:`shortlinks.symmetry` does, once per complex) never builds it
+twice.  :func:`all_automorphism_images` forms each product in C: one
+``operator.itemgetter`` per stabilizer element, applied to each
+transversal element.  The non-identity transversal elements generate
+Aut; :func:`automorphism_generators` keeps the ones each level needs,
+which is how the metric layer gets the automorphisms of a graph (its
+edges as 2-sets) from the same routine.
 
 Two routines act on any permutations, not only automorphisms:
 :func:`orbit_closure` splits a set into orbits under given maps, and
@@ -37,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from operator import itemgetter
 
 
 class _Instance:
@@ -230,13 +236,9 @@ def _stabilizer_chain(facets) -> list:
     return chain
 
 
-def automorphism_group_order(facets) -> int:
-    """|Aut| of the facet family, as the product of the transversal sizes."""
-    return math.prod(len(level) for _, level in _stabilizer_chain(facets))
-
-
-def automorphism_generators(facets) -> list:
-    """Transversal elements that generate Aut, as image tuples; no identity.
+def automorphism_generators(chain) -> list:
+    """Transversal elements of ``chain`` that generate Aut, as image
+    tuples; no identity.
 
     Levels are read from the deepest up.  An element of ``T_d`` is kept
     only when it sends b_d outside the orbit of b_d under the elements
@@ -246,7 +248,7 @@ def automorphism_generators(facets) -> list:
     so by orbit-stabilizer they generate G_d itself.
     """
     gens = []
-    for base, level in reversed(_stabilizer_chain(facets)):
+    for base, level in reversed(chain):
         orbit = {base}
         for t in level[1:]:
             if t[base] not in orbit:
@@ -255,25 +257,28 @@ def automorphism_generators(facets) -> list:
     return gens
 
 
-def all_automorphism_images(facets, labels):
-    """Yield every facet-preserving bijection as a tuple of labels.
+def all_automorphism_images(chain, labels):
+    """Yield every automorphism in ``chain`` as a tuple of labels.
 
-    Tuples are indexed by position in the sorted vertex list, which is
-    ``sorted(set().union(*facets))``; the entry at position i is
-    ``labels[j]`` for the position j that vertex i is sent to.  The
-    pointwise stabilizer of the first base point is built as a list of
-    position tuples; its cosets are streamed one transversal element at a
-    time, each relabelled once before it is composed.
+    Tuples are indexed by position in the sorted vertex list; the entry
+    at position i is ``labels[j]`` for the position j that vertex i is
+    sent to.  The pointwise stabilizer of the first base point is built
+    as a list of position tuples; its cosets are streamed one transversal
+    element at a time, each relabelled once before it is composed.  The
+    product t h is ``itemgetter(*h)(t)``, with one getter per stabilizer
+    element h.  A facet family has at least 2 vertices, so every getter
+    takes at least 2 indices and returns a tuple, not a single entry.
     """
-    chain = [level for _, level in _stabilizer_chain(facets)]
-    stabilizer = [chain[0][0]]  # the identity
-    for level in reversed(chain[1:]):
+    levels = [level for _, level in chain]
+    stabilizer = [levels[0][0]]  # the identity
+    for level in reversed(levels[1:]):
         if len(level) > 1:
-            stabilizer = [tuple(map(t.__getitem__, h))
-                          for t in level for h in stabilizer]
-    for t in chain[0]:
-        t = tuple(map(labels.__getitem__, t))
-        yield from map(tuple, map(map, itertools.repeat(t.__getitem__), stabilizer))
+            getters = [itemgetter(*h) for h in stabilizer]
+            stabilizer = [g(t) for t in level for g in getters]
+    getters = [itemgetter(*h) for h in stabilizer]
+    for t in levels[0]:
+        t = itemgetter(*t)(labels)
+        yield from [g(t) for g in getters]
 
 
 def orbit_closure(items, moves) -> list:

@@ -25,7 +25,8 @@ from .quadrillage import (Quadrillage, embeddable_by_zones, quadrillage_type,
 from .simplicial import (Partition, SimplicialComplex, complex_type,
                          euler_characteristic, is_closed_pseudomanifold,
                          link_of_face, long_link_faces, skeleton)
-from .symmetry import automorphism_count, coxeter_order_bruteforce
+from .symmetry import (automorphism_count, coxeter_order_bruteforce,
+                       stabilizer_chain)
 
 TABLE_COLUMNS = ("partition", "skeleton", "facets", "aut", "orbits", "cox",
                  "verified")
@@ -89,15 +90,15 @@ def cmd_build_kp(args) -> int:
 def _verify_row(p: Partition, s) -> str:
     """Brute-force check of one table row; "-" when a library guard refuses.
 
-    |Aut| and the vertex orbits come from the stabilizer chain and its
-    generators, so the group itself is never listed.
+    |Aut| and the vertex orbits come from the complex's one stabilizer
+    chain and its generators, so the group itself is never listed.
     """
     K = build_kp(p)
     try:
         aut_order = automorphism_count(K)
     except GuardExceeded:
         return "-"
-    moves = [g.__getitem__ for g in automorphism_generators(K.facets)]
+    moves = [g.__getitem__ for g in automorphism_generators(stabilizer_chain(K))]
     checks = (
         K.num_facets == s.facet_count
         and aut_order == s.aut_order

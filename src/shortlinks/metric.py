@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-from ._bijections import automorphism_generators, orbit_closure
+from ._bijections import _stabilizer_chain, automorphism_generators, orbit_closure
 from .errors import GuardExceeded
 from .exactlp import solve_nonnegative
 
@@ -430,7 +430,7 @@ def cut_cone_decompose(G: Graph):
     metric = {(verts[i], verts[j]): dist[i][j] for i, j in pairs}
     if n == 1:
         return CutDecomposition(weights={}, vertices=verts, metric=metric)
-    gens = automorphism_generators(G.edges)
+    gens = automorphism_generators(_stabilizer_chain(G.edges))
     # a cut is the bitmask of its side without vertex 0: bit 0 is clear
     cut_orbits = orbit_closure(range(2, 1 << n, 2), [_cut_mover(g, n) for g in gens])
     pair_movers = [lambda p, g=g: tuple(sorted((g[p[0]], g[p[1]]))) for g in gens]

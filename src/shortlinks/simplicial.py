@@ -46,11 +46,13 @@ class SimplicialComplex:
     (:meth:`_ridge_table`, its own pass, so a complex rejected for its
     boundary builds nothing more), the edges completing each (n-2)-face
     (:meth:`_face_table`, the only face index) and each link's cycle
-    lengths.  Cycles are decoded only for :func:`link_of_face`.
+    lengths.  Cycles are decoded only for :func:`link_of_face`.  The
+    stabilizer chain of Aut(K) is cached in ``_chain``, which
+    :mod:`shortlinks.symmetry` fills on first use.
     """
 
     __slots__ = ("dim", "facets", "vertices", "_bit", "_ridges", "_faces",
-                 "_sizes", "_links")
+                 "_sizes", "_links", "_chain")
 
     def __init__(self, dim: int, facets) -> None:
         if dim < 1:
@@ -71,6 +73,7 @@ class SimplicialComplex:
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_sizes", {})
         object.__setattr__(self, "_links", {})
+        object.__setattr__(self, "_chain", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")

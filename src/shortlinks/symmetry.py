@@ -2,16 +2,21 @@
 
 Aut(K) is built as a stabilizer chain: along a base of vertices, one
 first-solution backtracking search per candidate image decides each
-basic orbit and supplies its transversal element.  |Aut| is the product
-of the transversal sizes, and the automorphisms are the products of one
-element per transversal, so neither needs a walk over every group
-element.  A :class:`Permutation` is its tuple of images; the
-permutations of one :func:`automorphisms` call share a single
+basic orbit and supplies its transversal element.  The chain is built
+once per complex and kept on it (:func:`stabilizer_chain`), and
+|Aut|, the automorphisms and the CLI's table check all read that one
+chain.  |Aut| is the product of the transversal sizes, and the
+automorphisms are the products of one element per transversal, each
+formed in C by an ``operator.itemgetter``, so neither needs a walk over
+every group element.  A :class:`Permutation` is its tuple of images;
+the permutations of one :func:`automorphisms` call share a single
 vertex-to-position index, and a mapping dict is built only on request.
-Isomorphisms come from the same search stopped at its first solution.
+Isomorphisms come from the same search stopped at its first solution,
+with no help from the classifier whose answers they are used to check.
 Orbits are computed from generator applications: on the vertex set the
-orbits are merged as blocks, and a permutation that keeps every block in
-place costs one comparison.
+orbits are merged as blocks, a permutation that keeps every block in
+place costs one comparison, and the merging stops at the first single
+block.
 The reflection group Cox(K) attached to a partition is realized on a
 small permutation domain by transpositions, and its order is computed by
 the Schreier–Sims algorithm from those generators alone, so the
@@ -21,13 +26,13 @@ something that does not share their algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ._bijections import (all_automorphism_images, automorphism_group_order,
+from ._bijections import (_stabilizer_chain, all_automorphism_images,
                           find_bijection, orbit_closure,
                           permutation_group_order)
 from .errors import GuardExceeded
-from .partitions import classify
 from .simplicial import Partition, SimplicialComplex
 
 AUTOMORPHISM_VERTEX_GUARD = 12
@@ -95,20 +100,29 @@ class Permutation:
         return f"Permutation({moved or 'id'})"
 
 
-def _check_vertex_guard(K: SimplicialComplex) -> None:
+def stabilizer_chain(K: SimplicialComplex) -> list:
+    """The stabilizer chain of Aut(K), built on first use and kept on ``K``.
+
+    Levels are ``(b_d, T_d)`` as made by :mod:`shortlinks._bijections`:
+    base points and transversal image tuples, on positions in
+    ``K.vertices``.  Complexes above the vertex guard raise
+    :class:`GuardExceeded` before any search.
+    """
     if len(K.vertices) > AUTOMORPHISM_VERTEX_GUARD:
         raise GuardExceeded(
             f"automorphism search is limited to {AUTOMORPHISM_VERTEX_GUARD} "
             f"vertices, complex has {len(K.vertices)}")
+    if K._chain is None:
+        object.__setattr__(K, "_chain", _stabilizer_chain(K.facets))
+    return K._chain
 
 
 def automorphisms(K: SimplicialComplex) -> list:
     """All vertex permutations of ``K`` preserving its facet set."""
-    _check_vertex_guard(K)
     verts = K.vertices
     pos = {v: i for i, v in enumerate(verts)}
     return Permutation._from_keys(
-        sorted(all_automorphism_images(K.facets, verts)), pos)
+        sorted(all_automorphism_images(stabilizer_chain(K), verts)), pos)
 
 
 def automorphism_count(K: SimplicialComplex) -> int:
@@ -117,33 +131,28 @@ def automorphism_count(K: SimplicialComplex) -> int:
     The order is the product of the transversal sizes; no group element
     beyond the transversals is built, so the cost is at most one
     first-solution search per base point and candidate image, whatever
-    the group order.
+    the group order, paid once per complex.
     """
-    _check_vertex_guard(K)
-    return automorphism_group_order(K.facets)
+    return math.prod(len(level) for _, level in stabilizer_chain(K))
 
 
 def are_isomorphic(K1: SimplicialComplex, K2: SimplicialComplex):
     """A vertex bijection mapping facets onto facets, or None.
 
-    Cheap invariants (dimension, vertex/facet counts, degree sequences)
-    rule out most non-isomorphic pairs; for complexes that both classify
-    as type {3, 4} the characteristic partitions decide (two such
-    complexes are isomorphic exactly when their part-size multisets
-    agree).  A positive answer is always returned as an explicit
-    bijection found by backtracking.
+    Cheap invariants (dimension, vertex/facet counts, the multiset of
+    vertex signatures) rule out most non-isomorphic pairs, and the
+    backtracking search decides the rest; the classifier is not
+    consulted, so it can be checked against this.  For K(P) and K(P')
+    with the same facet count F the signatures alone decide when the
+    part sizes differ: a vertex in a part of size s lies in F·s/(s+1)
+    facets, so the membership counts differ as multisets.  A positive
+    answer is always returned as an explicit bijection found by
+    backtracking.
     """
     if K1.dim != K2.dim:
         return None
     if len(K1.vertices) != len(K2.vertices) or K1.num_facets != K2.num_facets:
         return None
-    try:
-        p1, p2 = classify(K1), classify(K2)
-    except ValueError:
-        pass
-    else:
-        if p1.sizes != p2.sizes:
-            return None
     return find_bijection(K1.facets, K2.facets)
 
 
@@ -191,7 +200,8 @@ def _vertex_blocks(perms) -> list:
     ``block[v]`` is the smallest vertex of v's block and ``labels`` lists
     the blocks of the vertices in order.  Once p(v) shares a block with v
     for every v, p maps each block into itself, so a permutation whose
-    image labels equal ``labels`` is skipped.
+    image labels equal ``labels`` is skipped, and once one block is left
+    no further permutation can change it.
     """
     verts = list(perms[0]._pos)
     block = {v: v for v in verts}
@@ -208,6 +218,8 @@ def _vertex_blocks(perms) -> list:
                 for u in members[b]:
                     block[u] = a
                 members[a] += members.pop(b)
+        if len(members) == 1:
+            break
         labels = list(map(block.__getitem__, verts))
     return [set(members[a]) for a in sorted(members)]
 

@@ -402,6 +402,11 @@ class TestHelpers:
             p = Partition.from_spec(spec)
             assert _verify_row(p, kp_summary(p)) == "yes"
 
+    def test_row_builds_one_stabilizer_chain(self, chain_builds):
+        p = Partition.from_spec("1,2|3,4,5|6")
+        assert _verify_row(p, kp_summary(p)) == "yes"
+        assert len(chain_builds) == 1
+
     @pytest.mark.parametrize("spec", ["1|2|3|4|5|6,7", "1|2|3|4|5|6|7"])
     def test_rows_beyond_the_vertex_guard_are_unverified(self, spec):
         # 13 and 14 vertices: the automorphism guard refuses before searching

@@ -33,3 +33,10 @@ def test_metric_reuses_only_the_group_routine():
     imported = {node.module for node in ast.walk(parse(SRC / "metric.py"))
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert imported <= {"errors", "exactlp", "_bijections"}
+
+
+def test_symmetry_does_not_consult_the_classifier():
+    # are_isomorphic is the oracle that classify's verdicts are checked against
+    imported = {node.module for node in ast.walk(parse(SRC / "symmetry.py"))
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert "partitions" not in imported

@@ -28,10 +28,10 @@ from shortlinks import (
 from shortlinks import _bijections
 from shortlinks._bijections import (_Instance, _vertex_order,
                                     automorphism_generators,
-                                    automorphism_group_order,
                                     permutation_group_order)
 from conftest import read_fixture
 from shortlinks.formats import parse_complex
+from shortlinks.symmetry import stabilizer_chain
 
 
 def aut_formula(p: Partition) -> int:
@@ -241,11 +241,16 @@ EDGE_SYMMETRIC = [
                                           (2, 3, 4), (2, 3, 5), (4, 5, 6)])),
 ]
 
+# the fewest vertices a complex has, and a facet whose complement is empty
+SMALLEST = [("one-edge", SimplicialComplex(1, [(1, 2)])),
+            ("one-triangle", SimplicialComplex(2, [(1, 2, 3)]))]
+
 CHAIN_CASES = (small_kp_and_duals()
                + [("figure1", parse_complex(read_fixture("figure1.txt")))]
                + kp_minus_one_facet()
                + random_pure_complexes()
-               + EDGE_SYMMETRIC)
+               + EDGE_SYMMETRIC
+               + SMALLEST)
 
 
 class TestStabilizerChain:
@@ -274,6 +279,12 @@ class TestStabilizerChain:
         conjugated.sort(key=lambda q: sorted(q.mapping.items()))
         assert automorphisms(K2) == conjugated
         assert automorphism_count(K2) == aut_formula(p)
+
+    def test_built_once_per_complex(self, chain_builds):
+        K = build_kp(Partition.from_spec("1|2,3"))
+        assert automorphism_count(K) == 12
+        assert len(orbits(automorphisms(K), K.vertices)) == 2
+        assert chain_builds == [K.facets]
 
     def test_audit_rejects_a_non_automorphism(self, monkeypatch):
         K = build_kp(Partition.from_spec("1|2,3"))
@@ -312,8 +323,7 @@ def generated_group(gens, n: int) -> set:
 GENERATOR_CASES = (
     [(name, K.facets) for name, K in CHAIN_CASES
      if automorphism_count(K) <= 5000]
-    + [("K2", [(1, 2)]), ("P3", [(1, 2), (2, 3)]),
-       ("one-facet", [(1, 2, 3)]),
+    + [("P3", [(1, 2), (2, 3)]),
        ("C7", cycle_graph(7).edges), ("Q3", hypercube_graph(3).edges),
        ("K6-3K2", complete_minus_matching(6, 3).edges)])
 
@@ -323,18 +333,20 @@ class TestGenerators:
                              ids=[c[0] for c in GENERATOR_CASES])
     def test_generate_the_whole_group(self, name, facets):
         inst = _Instance(facets)
-        gens = automorphism_generators(facets)
+        chain = _bijections._stabilizer_chain(facets)
+        gens = automorphism_generators(chain)
         identity = tuple(range(inst.n))
         for g in gens:
             assert g != identity
             assert {frozenset(g[inst.idx[v]] for v in f) for f in facets} == \
                 {frozenset(inst.idx[v] for v in f) for f in facets}
-        assert len(generated_group(gens, inst.n)) == automorphism_group_order(facets)
+        assert len(generated_group(gens, inst.n)) == math.prod(
+            len(level) for _, level in chain)
 
     def test_fewer_than_the_transversal_elements(self):
         facets = build_kp(Partition.from_spec("1|2|3|4")).facets
         chain = _bijections._stabilizer_chain(facets)
-        assert len(automorphism_generators(facets)) < sum(
+        assert len(automorphism_generators(chain)) < sum(
             len(level) - 1 for _, level in chain)
 
     def test_one_facet_complex(self):
@@ -406,7 +418,7 @@ class TestOrbits:
         K = build_kp(p)
         verts = K.vertices
         gens = [Permutation(dict(zip(verts, map(verts.__getitem__, g))))
-                for g in automorphism_generators(K.facets)]
+                for g in automorphism_generators(stabilizer_chain(K))]
         expected = closure_orbits(gens, verts)
         assert orbits(gens, verts) == expected
         assert orbits(gens, reversed(verts)) == expected
