@@ -6,11 +6,15 @@ Subcommands: ``build-kp`` (construct K(P) and write it out), ``table``
 (embeddability probes on a graph file).
 
 Exit codes: 0 success, 2 input error, 3 size guard exceeded.
+
+The argument parser is built on the first ``main`` call and reused by
+every later call in the same process; importing this module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -292,7 +296,9 @@ def _hypermetric_bound(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and read-only after."""
     parser = argparse.ArgumentParser(
         prog="shortlinks",
         description="Simplicial complexes with short links, zones, and "
@@ -330,17 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built on the first call; later calls in the same process
+    only parse, so ``main`` can be called repeatedly in-process.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardExceeded as exc:
         print(f"instance too large: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

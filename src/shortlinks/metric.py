@@ -331,27 +331,35 @@ def partial_cube(G: Graph):
     two endpoint rows of the graph's distance table.  In a bipartite graph
     every vertex is strictly nearer one end of each edge, so a vertex
     equidistant from both ends proves an odd cycle and None is returned at
-    once.  Edges with the same split form one coordinate, set to 1 on the
-    side away from the base vertex (the smallest one); coordinates are
-    ordered by the smallest vertex of that side.  The labeling is returned
-    only if every pairwise Hamming distance reproduces the path-metric,
-    which certifies the verdict; if the graph is not a partial cube this
-    check necessarily fails and None is returned.
+    once.  One split is computed per class: an edge whose ends an earlier
+    split already separates is skipped, because in a partial cube an edge
+    crossing a split lies in that split's class.  Each split is one
+    coordinate, set to 1 on the side away from the base vertex (the
+    smallest one); coordinates are ordered by the smallest vertex of that
+    side.  The labeling is returned only if every pairwise Hamming distance
+    reproduces the path-metric, which certifies the verdict; if the graph
+    is not a partial cube this check necessarily fails and None is
+    returned.
     """
     if not G.is_connected():
         raise ValueError("partial-cube recognition needs a connected graph")
     index, rows = G._index, G._table()
-    splits = {}  # bitmask of the side away from the base, in edge order
+    splits = []  # bitmask of the side away from the base, one per class
     for u, v in G.edges:
-        # near is the end nearer the base vertex (position 0)
-        near, far = sorted((rows[index[u]], rows[index[v]]))
-        side = 0
-        for i, (a, b) in enumerate(zip(near, far)):
-            if a == b:
-                return None
-            if b < a:
-                side |= 1 << i
-        splits[side] = None
+        iu, iv = index[u], index[v]
+        for side in splits:
+            if (side >> iu ^ side >> iv) & 1:
+                break  # an earlier split already separates u and v
+        else:
+            # near is the end nearer the base vertex (position 0)
+            near, far = sorted((rows[iu], rows[iv]))
+            side = 0
+            for i, (a, b) in enumerate(zip(near, far)):
+                if a == b:
+                    return None
+                if b < a:
+                    side |= 1 << i
+            splits.append(side)
     classes = sorted(splits, key=lambda side: side & -side)
     masks = _pack([(side, 1) for side in classes], len(rows))
     if not _is_scaled_embedding(masks, 1, rows):

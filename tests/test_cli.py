@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import itertools
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,11 +18,17 @@ from shortlinks import (Graph, Partition, cli, formats, grid, kp_summary,
 from shortlinks.cli import _verify_row, main, skeleton_name
 from shortlinks.formats import parse_complex
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def golden(name: str) -> str:
+    return (FIXTURES / "golden" / name).read_text(encoding="utf-8")
 
 
 class TestBuildKp:
@@ -98,7 +106,7 @@ def golden_cases() -> list:
 def test_golden_output(capsys, name, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert out == (FIXTURES / "golden" / name).read_text(encoding="utf-8")
+    assert out == golden(name)
 
 
 class TestAnalyze:
@@ -175,8 +183,9 @@ class TestAnalyze:
         assert "embed" in err
 
     def test_missing_file(self, capsys):
-        code, _, _ = run_cli(capsys, "analyze", "/nonexistent/x.txt")
+        code, _, err = run_cli(capsys, "analyze", "/nonexistent/x.txt")
         assert code == 2
+        assert err.startswith("error: ")
 
     def test_parse_error(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
@@ -412,6 +421,100 @@ class TestHelpers:
         # 13 and 14 vertices: the automorphism guard refuses before searching
         p = Partition.from_spec(spec)
         assert _verify_row(p, kp_summary(p)) == "-"
+
+
+def run_fresh(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with this checkout's ``src`` on its path."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+@pytest.fixture
+def parser_builds(monkeypatch) -> list:
+    """One entry per ``argparse.ArgumentParser`` constructed."""
+    calls = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return calls
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and one call leaves no
+    state that changes the next call's output."""
+
+    def test_later_calls_construct_no_parser(self, capsys, parser_builds):
+        argv = ["analyze", str(FIXTURES / "cube.txt")]
+        run_cli(capsys, *argv)
+        parser_builds.clear()
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == (0, golden("cube.analyze.txt"))
+        assert parser_builds == []
+
+    def test_import_constructs_no_parser(self):
+        code = ("import argparse\n"
+                "calls = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counted(self, *a, **k):\n"
+                "    calls.append(1)\n"
+                "    init(self, *a, **k)\n"
+                "argparse.ArgumentParser.__init__ = counted\n"
+                "import shortlinks.cli\n"
+                "after_import = len(calls)\n"
+                "shortlinks.cli.build_parser()\n"
+                "print(after_import, len(calls))\n")
+        proc = run_fresh("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        after_import, after_build = map(int, proc.stdout.split())
+        assert after_import == 0 and after_build > 0
+
+    def test_tsv_and_plain_interleaved(self, capsys):
+        path = str(FIXTURES / "figure1.txt")
+        for argv, name in [(["--tsv"], "figure1.analyze.tsv"),
+                           ([], "figure1.analyze.txt"),
+                           (["--tsv"], "figure1.analyze.tsv"),
+                           ([], "figure1.analyze.txt")]:
+            code, out, err = run_cli(capsys, "analyze", path, *argv)
+            assert (code, out, err) == (0, golden(name), "")
+
+    def test_scale_then_no_scale(self, capsys):
+        path = str(FIXTURES / "k5_k2.txt")
+        for argv, name in [(["--scale", "2", "--dim", "4"],
+                            "k5_k2.embed_scale2_dim4.txt"),
+                           ([], "k5_k2.embed.txt"),
+                           (["--scale", "1", "--dim", "4"],
+                            "k5_k2.embed_scale1_dim4.txt"),
+                           ([], "k5_k2.embed.txt")]:
+            code, out, err = run_cli(capsys, "embed", path, "--graph", *argv)
+            assert (code, out, err) == (0, golden(name), "")
+
+    def test_rejected_call_then_valid_call(self, capsys):
+        path = str(FIXTURES / "cube.txt")
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--hypermetric-bound", "1"])
+        assert exc.value.code == 2
+        rejected = capsys.readouterr()
+        assert rejected.out == ""
+        assert "--hypermetric-bound: must be an integer >= 2" in rejected.err
+        code, out, err = run_cli(capsys, "analyze", path)
+        assert (code, out, err) == (0, golden("cube.analyze.txt"), "")
+
+    def test_output_file_then_stdout(self, capsys, tmp_path):
+        out_file = tmp_path / "kp.txt"
+        argv = ["build-kp", "--partition", "1|2,3"]
+        code, summary, _ = run_cli(capsys, *argv, "-o", str(out_file))
+        assert code == 0
+        result = run_cli(capsys, *argv)
+        alone = run_fresh("-m", "shortlinks", *argv)
+        assert result == (alone.returncode, alone.stdout, alone.stderr)
+        assert result[1] == out_file.read_text(encoding="utf-8")
+        assert result[2] == summary
 
 
 class TestConsoleEntry:

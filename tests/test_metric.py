@@ -52,6 +52,11 @@ def k23() -> Graph:
     return Graph(range(1, 6), [(a, b) for a in (1, 2) for b in (3, 4, 5)])
 
 
+def complete_bipartite(p: int, q: int) -> Graph:
+    return Graph(range(1, p + q + 1), [(a, b) for a in range(1, p + 1)
+                                       for b in range(p + 1, p + q + 1)])
+
+
 class TestGraphBasics:
     def test_constructors(self):
         assert complete_minus_matching(5, 1).num_edges == 9
@@ -562,6 +567,28 @@ class TestPartialCubeAgainstReference:
             random_sparse_graph(random.Random(seed), 5 + seed % 5))
             for seed in range(40)]
         assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_bipartite_graphs_that_are_not_partial_cubes(self, monkeypatch):
+        # every vertex is strictly nearer one end of each edge, so None
+        # comes from the Hamming audit, not from the early return
+        audits = []
+        audit = metric._is_scaled_embedding
+
+        def recorded(*args):
+            audits.append(audit(*args))
+            return audits[-1]
+
+        monkeypatch.setattr(metric, "_is_scaled_embedding", recorded)
+        cube = hypercube_graph(3)
+        graphs = [k23(), complete_bipartite(2, 4), complete_bipartite(3, 3),
+                  complete_bipartite(3, 4),
+                  Graph(cube.vertices, cube.edges + ((1, 8),)),
+                  Graph(cube.vertices, [e for e in cube.edges if e != (1, 2)]
+                        + [(1, 8)])]
+        for G in graphs:
+            assert is_two_colourable(G)
+            assert not assert_same_partial_cube(G)
+        assert audits == [False] * len(graphs)
 
     def test_decides_without_a_bipartiteness_test(self):
         assert partial_cube(cycle_graph(5)) is None
