@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .simplicial import (Partition, SimplicialComplex, characteristic_partition,
-                         complex_type, is_closed_pseudomanifold)
+from .simplicial import (Partition, SimplicialComplex, _clique_parts, _link_cycles,
+                         characteristic_partition, complex_type,
+                         is_closed_pseudomanifold)
 
 
 @dataclass(frozen=True)
@@ -44,21 +46,19 @@ def build_kp(p: Partition) -> SimplicialComplex:
 
     Vertices are 1..m for the unprimed hyperoctahedron vertices plus one
     vertex m+j for each part P_j (in canonical part order).  Each of the
-    2^m hyperoctahedron facets maps the primed vertex i' to the vertex of
-    i's part; the image is kept only if its m entries stay distinct.
+    2^m sign patterns (hyperoctahedron facets) maps the primed vertex i' to
+    the vertex of i's part; its image, as a vertex mask, is kept only if
+    its popcount is m, i.e. its m entries stay distinct.
     """
     _require_range_partition(p)
     m = p.m
-    part_vertex = {}
-    for j, part in enumerate(p.parts, start=1):
+    images = [(0, ())]
+    for j, part in enumerate(p.parts, start=m + 1):
         for i in part:
-            part_vertex[i] = m + j
-    facets = set()
-    for primed in itertools.product((False, True), repeat=m):
-        image = [part_vertex[i] if primed[i - 1] else i for i in range(1, m + 1)]
-        if len(set(image)) == m:
-            facets.add(frozenset(image))
-    return SimplicialComplex(m - 1, facets)
+            images = [(mask | 1 << v, face + (v,))
+                      for mask, face in images for v in (i, j)]
+    return SimplicialComplex(
+        m - 1, [face for mask, face in images if mask.bit_count() == m])
 
 
 def kp_summary(p: Partition) -> KpSummary:
@@ -101,10 +101,12 @@ def product_dual(p: Partition) -> SimplicialComplex:
 def classify(K: SimplicialComplex) -> Partition:
     """Recover the partition P with K isomorphic to K(P).
 
-    The characteristic partition of one facet is taken and the same
-    part-size multiset is verified on every facet; global vertex and
-    facet counts are checked against the closed forms.  The returned
-    partition is the canonical one on {1..n+1} with those part sizes.
+    The characteristic partition of the first facet in sorted order gives
+    the part sizes, which one sweep of the face table checks on every
+    other facet (:func:`_failing_facets`); the first facet in sorted order
+    that fails names the error.  Global vertex and facet counts are
+    checked against the closed forms.  The returned partition is the
+    canonical one on {1..n+1} with those part sizes.
     """
     verdict = is_closed_pseudomanifold(K)
     if not verdict.is_closed:
@@ -112,15 +114,14 @@ def classify(K: SimplicialComplex) -> Partition:
     ty = complex_type(K)
     if not ty <= {3, 4}:
         raise ValueError(f"complex type is {sorted(ty)}, not within {{3, 4}}")
-    sizes = None
-    for facet in sorted(K.facets, key=sorted):
-        cp = characteristic_partition(K, facet)
-        if sizes is None:
-            sizes = cp.sizes
-        elif cp.sizes != sizes:
-            raise ValueError(
-                "not of the K(P) form: facets disagree on the characteristic "
-                "partition")
+    sizes = characteristic_partition(K, min(K.facets, key=sorted)).sizes
+    failing = _failing_facets(K, sizes)
+    if failing:
+        # raises the facet's own error if it has no characteristic partition
+        characteristic_partition(K, min(map(K._face, failing), key=sorted))
+        raise ValueError(
+            "not of the K(P) form: facets disagree on the characteristic "
+            "partition")
     canonical = _canonical_partition(sizes)
     expected = kp_summary(canonical)
     if (len(K.vertices) != expected.skeleton_m
@@ -129,6 +130,35 @@ def classify(K: SimplicialComplex) -> Partition:
             "not of the K(P) form: vertex or facet count does not match its "
             "characteristic partition")
     return canonical
+
+
+def _failing_facets(K: SimplicialComplex, sizes) -> set:
+    """Masks of the facets of the closed, type-{3, 4} ``K`` with no
+    characteristic partition or one of other part sizes.  A link of several
+    cycles leaves its facets none, except for ``dim == 1``."""
+    pairs, failing = defaultdict(list), set()  # facet mask -> triangle pairs
+    for mask, edges in K._face_table().items():
+        link = K._sizes[mask]
+        if link == (3,):
+            for e in edges:
+                pairs[mask | e].append(e)
+        elif len(link) > 1 and K.dim > 1:
+            failing.update(mask | e for e in edges)
+        elif len(link) > 1:  # dim 1: mask is 0, each facet an edge of a cycle
+            for cycle in _link_cycles(edges):
+                if len(cycle) == 3:
+                    for a, b in itertools.combinations(cycle, 2):
+                        pairs[a | b].append(a | b)
+    if sizes[-1] > 1 and len(pairs) < K.num_facets:  # a facet with no pair
+        failing.update({sum(map(K._bit.get, f)) for f in K.facets}.difference(pairs))
+    want = list(sizes)
+    for facet, es in pairs.items():
+        try:
+            if sorted(map(int.bit_count, _clique_parts(facet, es))) != want:
+                failing.add(facet)
+        except ValueError:
+            failing.add(facet)
+    return failing
 
 
 def _canonical_partition(sizes) -> Partition:

@@ -8,8 +8,10 @@ is read from one mask-keyed index of the (n-2)-faces.  Closedness, type
 and classification need only cycle lengths: a cycle has at least 3 edges,
 so a 2-regular link of fewer than 6 edges is one cycle, and only longer
 links are walked.  A complex whose links all have length 3 or 4 induces
-a partition of each facet's vertices (its characteristic partition); the
-complexes themselves are classified in :mod:`shortlinks.partitions`.
+a partition of each facet's vertices (its characteristic partition): the
+cliques of its triangle-linked vertex pairs.  :func:`_clique_parts` is
+that rule, for one facet here and for every facet in one sweep of the
+face table when :mod:`shortlinks.partitions` classifies the complex.
 """
 
 from __future__ import annotations
@@ -40,14 +42,17 @@ class SimplicialComplex:
     """A pure simplicial complex of dimension ``dim`` given by its facets.
 
     Facets are deduplicated frozensets of vertex ids, each of cardinality
-    ``dim + 1``; the vertex set is their union.  Instances are immutable
-    and hashable.  Vertex i of the sorted ``vertices`` is bit ``1 << i``
-    of a face mask.  Cached on first use, by mask: each ridge's facet count
-    (:meth:`_ridge_table`, its own pass, so a complex rejected for its
+    ``dim + 1``; the vertex set is their union.  They are validated all at
+    once, and one by one only to name the first bad facet in input order.
+    Instances are immutable and hashable.
+    Vertex i of the sorted ``vertices`` is bit ``1 << i`` of a face mask.
+    Cached on first use, by mask: each ridge's facet count
+    (:meth:`_ridge_table`, its own pass, so rejecting a complex for its
     boundary builds nothing more), the edges completing each (n-2)-face
     (:meth:`_face_table`, the only face index) and each link's cycle
-    lengths.  Cycles are decoded only for :func:`link_of_face`.  The
-    stabilizer chain of Aut(K) is cached in ``_chain``, which
+    lengths.  Cycles are decoded only for :func:`link_of_face`, for links
+    of 6 or more edges and for links of several cycles.  The stabilizer
+    chain of Aut(K) is cached in ``_chain``, which
     :mod:`shortlinks.symmetry` fills on first use.
     """
 
@@ -57,16 +62,19 @@ class SimplicialComplex:
     def __init__(self, dim: int, facets) -> None:
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        fset = frozenset(make_face(f) for f in facets)
-        if not fset:
+        rows = list(map(tuple, facets))
+        sets = list(map(frozenset, rows))
+        union = frozenset().union(*sets)
+        if ({*map(len, rows), *map(len, sets)} != {dim + 1}
+                or not all(isinstance(v, int) and v >= 1 for v in union)):
+            for row in rows:  # name the first bad facet in input order
+                if len(make_face(row)) != dim + 1:
+                    raise ValueError(f"facet {sorted(row)} has {len(row)} "
+                                     f"vertices, expected {dim + 1}")
             raise ValueError("a complex needs at least one facet")
-        for f in fset:
-            if len(f) != dim + 1:
-                raise ValueError(
-                    f"facet {sorted(f)} has {len(f)} vertices, expected {dim + 1}")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "facets", fset)
-        object.__setattr__(self, "vertices", tuple(sorted(frozenset().union(*fset))))
+        object.__setattr__(self, "facets", frozenset(sets))
+        object.__setattr__(self, "vertices", tuple(sorted(union)))
         object.__setattr__(self, "_bit",
                            {v: 1 << i for i, v in enumerate(self.vertices)})
         object.__setattr__(self, "_ridges", None)
@@ -286,12 +294,14 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     """Alternating sum of face counts over all dimensions.
 
     Faces are vertex bitmasks; the (k-1)-faces are the k-faces with one
-    set bit cleared, so each dimension is built from the one above it.
+    set bit cleared, so each dimension is built from the one above it,
+    from the face table's (n-2)-faces down to the edges.
     """
-    bit = K._bit
-    level = {sum(bit[v] for v in f) for f in K.facets}
-    chi = 0
-    for k in range(K.dim, -1, -1):
+    if K.dim == 1:
+        return len(K.vertices) - K.num_facets
+    k, level = K.dim - 2, K._face_table().keys()
+    chi = (-1) ** K.dim * (K.num_facets - len(K._ridge_table()))
+    while k:
         chi += (-1) ** k * len(level)
         lower = set()
         for mask in level:
@@ -301,7 +311,8 @@ def euler_characteristic(K: SimplicialComplex) -> int:
                 lower.add(mask ^ low)
                 rest ^= low
         level = lower
-    return chi
+        k -= 1
+    return chi + len(K.vertices)
 
 
 class Partition:
@@ -392,15 +403,35 @@ class Partition:
         return f"Partition({self.to_spec()!r})"
 
 
+def _clique_parts(mask: int, pairs) -> set:
+    """The parts of the facet ``mask`` as vertex masks, given its
+    triangle-linked vertex pairs as 2-bit masks: the cliques of the pairs,
+    which must have equal closed neighbourhoods at both ends of each pair
+    (or the input is corrupt), and each vertex on no pair alone."""
+    closed = {}  # vertex bit -> closed neighbourhood
+    for e in pairs:
+        for b in (e & -e, e & (e - 1)):
+            closed[b] = closed.get(b, b) | e
+    if any(closed[e & -e] != closed[e & (e - 1)] for e in pairs):
+        raise ValueError(
+            "the 3-link graph on the facet is not a union of cliques "
+            "(corrupt input)")
+    parts = set(closed.values())
+    rest = mask ^ sum(parts)
+    while rest:
+        parts.add(rest & -rest)
+        rest &= rest - 1
+    return parts
+
+
 def characteristic_partition(K: SimplicialComplex, delta):
     """Partition of a facet's vertices induced by the length-3 links.
 
     Vertices i, j of the facet fall in the same part exactly when the link
-    of the facet minus {i, j} is a triangle.  Defined for closed complexes
-    of type within {3, 4}; the induced graph must be a disjoint union of
-    cliques, otherwise the input is rejected as corrupt.  It is one exactly
-    when the vertices sharing each closed neighbourhood are that whole
-    neighbourhood, and the parts are then those neighbourhoods.
+    of the facet minus {i, j} is a triangle (for ``dim == 1``, when the
+    facet's cycle is).  Defined for closed complexes of type within
+    {3, 4}; the induced graph must be a disjoint union of cliques
+    (:func:`_clique_parts`), otherwise the input is rejected as corrupt.
     """
     delta = frozenset(delta)
     if delta not in K.facets:
@@ -408,6 +439,7 @@ def characteristic_partition(K: SimplicialComplex, delta):
     verts = sorted(delta)
     bit = K._bit
     mask = sum(bit[v] for v in verts)
+    pairs = []
     if K.dim == 1:
         # the empty face is the only (n-2)-face: check its link, take delta's cycle
         _link_sizes(K, 0)
@@ -415,24 +447,16 @@ def characteristic_partition(K: SimplicialComplex, delta):
         if size not in (3, 4):
             raise ValueError(f"complex type is not within {{3, 4}}: "
                              f"link of the empty face has length {size}")
-        return Partition([verts] if size == 3 else [verts[:1], verts[1:]])
-    closed = {v: bit[v] for v in verts}  # closed neighbourhoods in the 3-link graph
-    for i, j in itertools.combinations(verts, 2):
-        face = mask ^ bit[i] ^ bit[j]
-        # cache read inline: classify runs this for every pair of every facet
-        sizes = K._sizes.get(face) or _link_sizes(K, face)
-        if len(sizes) != 1 or sizes[0] not in (3, 4):
-            raise ValueError(
-                f"complex type is not within {{3, 4}}: link of "
-                f"{sorted(delta - {i, j})} has sizes {sizes}")
-        if sizes[0] == 3:
-            closed[i] |= bit[j]
-            closed[j] |= bit[i]
-    parts = defaultdict(list)  # closed neighbourhood -> vertices that have it
-    for v, nb in closed.items():
-        parts[nb].append(v)
-    if any(sum(bit[v] for v in part) != nb for nb, part in parts.items()):
-        raise ValueError(
-            "the 3-link graph on the facet is not a union of cliques "
-            "(corrupt input)")
-    return Partition(parts.values())
+        if size == 3:
+            pairs.append(mask)
+    else:
+        for i, j in itertools.combinations(verts, 2):
+            e = bit[i] | bit[j]
+            sizes = _link_sizes(K, mask ^ e)
+            if len(sizes) != 1 or sizes[0] not in (3, 4):
+                raise ValueError(
+                    f"complex type is not within {{3, 4}}: link of "
+                    f"{sorted(delta - {i, j})} has sizes {sizes}")
+            if sizes[0] == 3:
+                pairs.append(e)
+    return Partition(map(K._face, _clique_parts(mask, pairs)))

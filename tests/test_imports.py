@@ -40,3 +40,13 @@ def test_symmetry_does_not_consult_the_classifier():
     imported = {node.module for node in ast.walk(parse(SRC / "symmetry.py"))
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert "partitions" not in imported
+
+
+def test_build_kp_folds_without_the_closed_form():
+    # table's verified column checks build_kp against the product of (|P_j|+1)
+    fn = next(node for node in parse(SRC / "partitions.py").body
+              if isinstance(node, ast.FunctionDef) and node.name == "build_kp")
+    named = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+    named |= {f"{node.value.id}.{node.attr}" for node in ast.walk(fn)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    assert not named & {"kp_summary", "product_dual", "math.prod", "prod"}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -20,6 +21,7 @@ from shortlinks import (
     product_dual,
     skeleton,
 )
+from shortlinks import partitions
 
 
 @pytest.fixture
@@ -84,7 +86,33 @@ class TestPartitionType:
         assert Partition([[2, 3], [1]]) == Partition([[1], [3, 2]])
 
 
+def folded_facets(p: Partition) -> set:
+    """K(P) as a list fold over all 2^m sign patterns: the primed vertex i'
+    goes to the vertex of i's part, and an image repeating a vertex is
+    dropped."""
+    part_vertex = {i: p.m + j for j, part in enumerate(p.parts, start=1) for i in part}
+    images = [[]]
+    for i in range(1, p.m + 1):
+        images = [image + [v] for image in images for v in (i, part_vertex[i])]
+    return {frozenset(image) for image in images if len(set(image)) == p.m}
+
+
+def dealt(p: Partition, seed) -> Partition:
+    """A partition with the part sizes of ``p`` over shuffled elements."""
+    elements = list(range(1, p.m + 1))
+    random.Random(seed).shuffle(elements)
+    bounds = list(itertools.accumulate(p.sizes, initial=0))
+    return Partition(elements[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
 class TestBuildKp:
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_matches_the_list_fold(self, m):
+        for p in enumerate_partitions(m):
+            for q in (p, dealt(p, p.to_spec())):
+                K = build_kp(q)
+                assert K.dim == m - 1 and K.facets == folded_facets(q)
+
     def test_dual_triangular_prism_facets(self):
         K = build_kp(Partition.from_spec("1|2,3"))
         expected = {frozenset(f) for f in
@@ -227,6 +255,19 @@ class TestClassify:
         shifted = {frozenset(v + 10 for v in f) for f in K1.facets}
         with pytest.raises(ValueError, match="not of the K\\(P\\) form"):
             classify(SimplicialComplex(2, K1.facets | shifted))
+
+    @pytest.mark.parametrize("spec", ["1|2|3|4|5|6|7|8", "1|2,3|4,5,6|7,8"])
+    def test_one_characteristic_partition_per_call(self, spec, monkeypatch):
+        facets = []
+
+        def counted(K, delta):
+            facets.append(delta)
+            return characteristic_partition(K, delta)
+
+        monkeypatch.setattr(partitions, "characteristic_partition", counted)
+        K = build_kp(Partition.from_spec(spec))
+        assert classify(K).sizes == Partition.from_spec(spec).sizes
+        assert facets == [min(K.facets, key=sorted)]
 
     def test_lemma_same_partition_on_every_facet(self):
         for m in range(2, 7):

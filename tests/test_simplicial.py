@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from collections import Counter, defaultdict
 
 import pytest
@@ -21,7 +23,7 @@ from shortlinks import (
     skeleton,
 )
 from conftest import read_fixture
-from shortlinks import _bijections, simplicial
+from shortlinks import _bijections, partitions, simplicial
 from shortlinks.formats import parse_complex
 
 
@@ -71,6 +73,49 @@ class TestFaceBasics:
     def test_complex_deduplicates_facets(self):
         K = SimplicialComplex(1, [[1, 2], [2, 1], [2, 3], [1, 3]])
         assert K.num_facets == 3
+
+
+CONSTRUCTOR_ERRORS = [
+    (2, [[1, 2, 2]], "duplicate vertices in face [1, 2, 2]"),
+    (2, [[0, 1, 2]], "vertex ids must be positive integers: [0, 1, 2]"),
+    (2, [[1, -3, 2]], "vertex ids must be positive integers: [-3, 1, 2]"),
+    (2, [[1, 2, 3], [4, 5]], "facet [4, 5] has 2 vertices, expected 3"),
+    (2, [[1, 2, 3], [4, 3, 2, 1]], "facet [1, 2, 3, 4] has 4 vertices, expected 3"),
+    (2, [[1, 2, 3], []], "a face must be nonempty"),
+    (2, [], "a complex needs at least one facet"),
+    (0, [[1]], "dimension must be >= 1, got 0"),
+    (-1, [], "dimension must be >= 1, got -1"),
+    # several bad facets: the first in input order names the error
+    (2, [[1, 2, 3], [4, 5], [6, 6, 7]], "facet [4, 5] has 2 vertices, expected 3"),
+    (2, [[1, 2, 3], [6, 6, 7], [4, 5]], "duplicate vertices in face [6, 6, 7]"),
+    (2, [[1, 2], [0, 1, 2]], "facet [1, 2] has 2 vertices, expected 3"),
+    (2, [[0, 1, 2], [1, 2]], "vertex ids must be positive integers: [0, 1, 2]"),
+    (1, [[1, 2], [3, 4, 5], [0, 1]], "facet [3, 4, 5] has 3 vertices, expected 2"),
+]
+FACET_KINDS = {
+    "lists": lambda facets: facets,
+    "tuples": lambda facets: tuple(map(tuple, facets)),
+    "generators": lambda facets: (iter(f) for f in facets),
+    "frozensets": lambda facets: list(map(frozenset, facets)),
+}
+
+
+class TestConstructorErrors:
+    # a frozenset cannot repeat a vertex
+    @pytest.mark.parametrize("dim,facets,message,kind", [
+        (dim, facets, message, kind) for dim, facets, message in CONSTRUCTOR_ERRORS
+        for kind in FACET_KINDS
+        if kind != "frozensets" or all(len(set(f)) == len(f) for f in facets)])
+    def test_message(self, dim, facets, message, kind):
+        with pytest.raises(ValueError) as info:
+            SimplicialComplex(dim, FACET_KINDS[kind](facets))
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    @pytest.mark.parametrize("kind", FACET_KINDS)
+    def test_every_kind_gives_one_complex(self, kind):
+        facets = [[3, 1, 2], [1, 2, 4], [2, 3, 4], [1, 3, 4], [2, 1, 3]]
+        K = SimplicialComplex(2, FACET_KINDS[kind](facets))
+        assert K == tetrahedron_boundary() and K.vertices == (1, 2, 3, 4)
 
 
 class TestFacesOfDim:
@@ -335,17 +380,132 @@ class TestReferenceLinks:
         assert any(isinstance(c, str) for c in reference_links(K).values())
 
 
-def test_types_and_partitions_decode_no_cycles(monkeypatch):
-    def refuse(K, F):
-        raise AssertionError(f"cycles of {sorted(F)} decoded")
+def reference_classify(K) -> Partition:
+    """``classify`` as one characteristic partition per facet, in sorted
+    facet order, each read from ``reference_links``."""
+    verdict = is_closed_pseudomanifold(K)
+    if not verdict.is_closed:
+        raise ValueError(f"complex is not closed ({verdict.status})")
+    links = reference_links(K)
+    ty = {len(c) for cycles in links.values() for c in cycles}
+    if not ty <= {3, 4}:
+        raise ValueError(f"complex type is {sorted(ty)}, not within {{3, 4}}")
+    sizes = None
+    for facet in sorted(K.facets, key=sorted):
+        cp = reference_partition(K, links, facet)
+        if sizes is None:
+            sizes = cp.sizes
+        elif cp.sizes != sizes:
+            raise ValueError("not of the K(P) form: facets disagree on the "
+                             "characteristic partition")
+    bounds = list(itertools.accumulate(sizes, initial=1))
+    if (len(K.vertices) != sum(sizes) + len(sizes)
+            or K.num_facets != math.prod(s + 1 for s in sizes)):
+        raise ValueError("not of the K(P) form: vertex or facet count does "
+                         "not match its characteristic partition")
+    return Partition(range(a, b) for a, b in zip(bounds, bounds[1:]))
 
-    monkeypatch.setattr(simplicial, "link_of_face", refuse)
-    for spec in ("1|2|3", "1|2,3|4,5"):
+
+def relabelled(K, seed) -> SimplicialComplex:
+    """``K`` with its vertices sent to distinct labels drawn from 1..3|V|."""
+    rng = random.Random(seed)
+    label = dict(zip(K.vertices, rng.sample(range(1, 3 * len(K.vertices) + 1),
+                                            len(K.vertices))))
+    return SimplicialComplex(K.dim, [[label[v] for v in f] for f in K.facets])
+
+
+def disjoint_union(K1, K2) -> SimplicialComplex:
+    shift = max(K1.vertices)
+    return SimplicialComplex(K1.dim, [*K1.facets, *({v + shift for v in f}
+                                                    for f in K2.facets)])
+
+
+def wedge(K1, K2, size) -> SimplicialComplex:
+    """``K1`` and ``K2`` glued along a ``size``-vertex face of each: the
+    last of ``K1``'s last facet, the first of ``K2``'s first facet."""
+    face1 = sorted(max(K1.facets, key=sorted))[-size:]
+    face2 = sorted(min(K2.facets, key=sorted))[:size]
+    label = dict(zip(face2, face1))
+    fresh = itertools.count(max(K1.vertices) + 1)
+    label.update((v, next(fresh)) for v in K2.vertices if v not in label)
+    return SimplicialComplex(K1.dim, [*K1.facets,
+                                      *([label[v] for v in f] for f in K2.facets)])
+
+
+def cycles(*lengths) -> SimplicialComplex:
+    """Disjoint cycles of the given lengths, as one 1-complex."""
+    facets, start = [], 1
+    for n in lengths:
+        facets += [[start + i, start + (i + 1) % n] for i in range(n)]
+        start += n
+    return SimplicialComplex(1, facets)
+
+
+KP = {p.to_spec(): build_kp(p) for m in range(2, 9) for p in enumerate_partitions(m)}
+CLASSIFY_CASES = {
+    "relabelled_kp_and_duals": [
+        relabelled(make(p), p.to_spec()) for m in range(2, 9)
+        for p in enumerate_partitions(m) for make in (build_kp, product_dual)],
+    "kp_minus_one_facet": [
+        SimplicialComplex(K.dim, sorted(K.facets, key=sorted)[1:] if i % 2 else
+                          sorted(K.facets, key=sorted)[:-1])
+        for i, K in enumerate(KP.values())],
+    "disjoint_unions": [
+        disjoint_union(KP[a.to_spec()], KP[b.to_spec()]) for m in range(2, 6)
+        for a, b in itertools.combinations_with_replacement(enumerate_partitions(m), 2)],
+    "cycle_joins": [cycle_join(a, b) for a in range(3, 7) for b in range(3, 7)],
+    "dim1_unions": [cycles(*lengths) for lengths in [
+        (3,), (4,), (5,), (3, 3), (3, 4), (4, 3), (4, 4), (4, 4, 3), (3, 3, 3),
+        (4, 3, 4), (3, 5), (6, 4), (3, 4, 6)]],
+    "fixtures": [parse_complex(read_fixture(name)) for name in SIMPLICIAL_FIXTURES],
+    # closed, type within {3, 4}: one (n-2)-face with a link of two cycles,
+    # or (glued at a vertex in dimension 3) no K(P) count
+    "wedges": [wedge(KP[a], KP[b], size) for a, b, size in [
+        ("1|2|3", "1|2|3", 1), ("1|2|3", "1,2,3", 1), ("1,2,3", "1|2|3", 1),
+        ("1|2,3", "1,2,3", 1),
+        ("1|2|3|4", "1,2|3,4", 2), ("1,2,3,4", "1|2,3,4", 2),
+        ("1|2|3|4", "1|2|3|4", 1), ("1|2|3|4|5", "1|2,3|4,5", 3)]],
+}
+
+
+def test_classify_matches_the_per_facet_loop():
+    mismatches, verdicts = [], set()
+    for group, cases in CLASSIFY_CASES.items():
+        for K in cases:
+            got = outcome(lambda: classify(K))
+            want = outcome(lambda: reference_classify(K))
+            verdicts.add(want if isinstance(want, str) else "ok")
+            if got != want:
+                mismatches.append((group, K, got, want))
+    assert mismatches == []
+    assert {"ok", "complex is not closed (boundary)",
+            "complex type is [3, 4, 5], not within {3, 4}",
+            "complex type is not within {3, 4}: link of [6] has sizes (4, 4)",
+            "not of the K(P) form: facets disagree on the characteristic partition",
+            "not of the K(P) form: vertex or facet count does not match its "
+            "characteristic partition"} <= verdicts
+
+
+def test_clique_parts_rejects_a_path():
+    assert sorted(simplicial._clique_parts(0b1111, [0b0011, 0b1010, 0b1000 | 0b0001])
+                  ) == [0b0100, 0b1011]
+    with pytest.raises(ValueError, match="not a union of cliques"):
+        simplicial._clique_parts(0b111, [0b011, 0b110])
+
+
+def test_types_and_partitions_decode_no_cycles(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a link's cycles were decoded")
+
+    for module, name in ((simplicial, "link_of_face"), (simplicial, "_link_cycles"),
+                         (partitions, "_link_cycles")):
+        monkeypatch.setattr(module, name, refuse)
+    for spec in ("1|2|3", "1|2,3|4,5", "1|2|3|4|5|6|7|8", "1|2,3|4,5,6|7,8"):
         p = Partition.from_spec(spec)
         K = build_kp(p)
-        assert complex_type(K) == ({4} if spec == "1|2|3" else {3, 4})
+        assert complex_type(K) == ({4} if p.h == p.m else {3, 4})
         assert all(characteristic_partition(K, f).sizes == p.sizes for f in K.facets)
-        assert classify(K) == p
+        assert classify(K).sizes == p.sizes
     assert complex_type(figure1()) == {3, 4, 5}
 
 
@@ -403,12 +563,18 @@ class TestEuler:
     def test_three_sphere_chi_zero(self, spec):
         assert euler_characteristic(build_kp(Partition.from_spec(spec))) == 0
 
+    @pytest.mark.parametrize("tables", ["cold", "warm"])
     @pytest.mark.parametrize("K", [
         *(parse_complex(read_fixture(name)) for name in SIMPLICIAL_FIXTURES),
-        *(build_kp(p) for m in range(2, 6) for p in enumerate_partitions(m)),
-        SimplicialComplex(2, [[1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 2]]),
+        *(relabelled(build_kp(p), p.to_spec()) for m in range(2, 8)
+          for p in enumerate_partitions(m)),
+        *OPEN_CASES,  # a ridge in three facets among them
+        *CLOSED_CASES[-3:],  # unions of dim-1 cycles
     ])
-    def test_matches_alternating_face_counts(self, K):
+    def test_matches_alternating_face_counts(self, K, tables):
+        K = SimplicialComplex(K.dim, K.facets)  # nothing cached yet
+        if tables == "warm":
+            K._ridge_table(), K._face_table()
         expected = sum((-1) ** k * len(faces_of_dim(K, k))
                        for k in range(K.dim + 1))
         assert euler_characteristic(K) == expected
