@@ -88,11 +88,10 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, facets) -> "SimplicialComplex":
-        """Infer the dimension from the first facet."""
-        facets = [make_face(f) for f in facets]
-        if not facets:
-            raise ValueError("a complex needs at least one facet")
-        return cls(len(facets[0]) - 1, facets)
+        """Infer the dimension from the first facet; the constructor checks
+        every facet, and rejects an empty family."""
+        rows = list(map(tuple, facets))
+        return cls(len(make_face(rows[0])) - 1 if rows else 1, rows)
 
     @property
     def num_facets(self) -> int:
@@ -380,13 +379,10 @@ class Partition:
     @classmethod
     def from_spec(cls, text: str) -> "Partition":
         """Parse the CLI syntax, e.g. ``"1,2|3,4,5"``."""
-        parts = []
-        for chunk in text.split("|"):
-            items = [s.strip() for s in chunk.split(",")]
-            if any(not s.isdigit() or int(s) < 1 for s in items):
-                raise ValueError(f"bad partition spec {text!r}")
-            parts.append([int(s) for s in items])
-        return cls(parts)
+        parts = [[s.strip() for s in chunk.split(",")] for chunk in text.split("|")]
+        if not all(s.isdecimal() for part in parts for s in part):
+            raise ValueError(f"bad partition spec {text!r}")
+        return cls([[int(s) for s in part] for part in parts])
 
     def to_spec(self) -> str:
         return "|".join(",".join(str(v) for v in sorted(p)) for p in self.parts)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -86,12 +87,16 @@ class TestTable:
 def golden_cases() -> list:
     """(golden file name, argv): ``analyze`` plain and ``--tsv`` on every
     simplicial and quad fixture, ``embed --graph`` on every graph fixture,
-    and three ``embed --scale --dim`` runs, two of which print addresses."""
+    four ``embed --scale --dim`` runs, two of which print addresses and one
+    of which needs a distance above ``dim``, and the 15-cycle past the
+    cut-cone vertex guard at hypermetric bound 2."""
     cases = [(f"{stem}.embed_scale{scale}_dim{dim}.txt",
               ["embed", str(FIXTURES / f"{stem}.txt"), "--graph",
                "--scale", str(scale), "--dim", str(dim)])
              for stem, scale, dim in [("k5_k2", 2, 4), ("k6_3k2", 2, 6),
-                                      ("k5_k2", 1, 4)]]
+                                      ("k5_k2", 1, 4), ("k5_k2", 2, 2)]]
+    cases.append(("c15.embed_bound2.txt", ["embed", str(FIXTURES / "c15.txt"),
+                                           "--graph", "--hypermetric-bound", "2"]))
     for path in sorted(FIXTURES.glob("*.txt")):
         keyword = path.read_text(encoding="utf-8").split(maxsplit=1)[0]
         if keyword == "graph":
@@ -397,6 +402,97 @@ class TestCliFuzz:
         assert all(key in report_lines(out) for key in EMBEDDABILITY_KEYS)
 
 
+FUZZ_BASES = ["simplex3.txt", "octahedron.txt", "k5_k2.txt", "two_triangles.txt",
+              "cube.txt", "grid_2x3.txt"]
+BLANK_FILES = ["", "\n", "# nothing here\n", "# a\n\n   # b\n"]
+BAD_TOKENS = ["x", "1.5", "0x3", "-", "2a", "1e3"]
+
+
+def file_text(header, rows) -> str:
+    return "".join(" ".join(map(str, tokens)) + "\n" for tokens in [header, *rows])
+
+
+def malform(rng: random.Random, header: list, rows: list) -> None:
+    """Apply one random malformation to a tokenized file, in place."""
+    n = int(header[1]) if len(header) > 1 and str(header[1]).isdigit() else 4
+    row = rng.choice(rows) if rows else [0]
+    j = rng.randrange(len(row))
+    kind = rng.randrange(11)
+    if kind == 0:
+        row[j] = rng.choice(BAD_TOKENS)
+    elif kind == 1:
+        del row[j]  # a missing id
+    elif kind == 2:
+        row.append(rng.randint(1, n + 2))  # an extra id
+    elif kind == 3:
+        row[j] = rng.choice([0, -1, -7, n + 1, n + 9])
+    elif kind == 4:
+        row[j] = row[j - 1]  # a repeated id: a loop on an edge line
+    elif kind == 5:
+        rows.append(list(row))  # a duplicate face
+    elif kind == 6:
+        # a new face on the edge row[0]-row[1]: on the cube, an edge in 3 quads
+        rows.append([*row[:2], n + 1, n + 2])
+        header[1:] = [n + 2]
+    elif kind == 7:
+        header[1:] = [rng.randint(0, 20)]
+    elif kind == 8:
+        rows.clear()
+    elif kind == 9:
+        header[0] = rng.choice(["simplicial", "graph", "quad", "polytope"])
+    else:
+        header[1:] = rng.choice([[], [n, n], [rng.choice(BAD_TOKENS)]])
+
+
+def valid_quad_file(rng: random.Random) -> str:
+    """A nonempty set of faces of a small quadrillage, relabelled at random."""
+    Q = rng.choice([quadrillage.cube(), grid(2, 2), grid(2, 3), grid(1, 4)])
+    faces = rng.sample(Q.faces, rng.randint(1, Q.num_faces))
+    perm = rng.sample(range(1, Q.num_vertices + 1), Q.num_vertices)
+    return file_text(["quad", Q.num_vertices], [[perm[v - 1] for v in f] for f in faces])
+
+
+def fuzz_files(seed: int, count: int) -> list:
+    """(text, is a valid quad file): blank files, valid quad files, and
+    fixtures with one to three malformations."""
+    rng = random.Random(seed)
+    files = []
+    for i in range(count):
+        if i % 10 == 0:
+            files.append((rng.choice(BLANK_FILES), False))
+        elif i % 10 in (1, 2):
+            files.append((valid_quad_file(rng), True))
+        else:
+            header, *rows = [line.split() for line in
+                             (FIXTURES / rng.choice(FUZZ_BASES)).read_text().splitlines()]
+            for _ in range(rng.randint(1, 3)):
+                malform(rng, header, rows)
+            files.append((file_text(header, rows), False))
+    return files
+
+
+class TestMalformedFiles:
+    """Every file ends in exit code 0, 2 or 3 with at most one line of
+    stderr naming the error; none ends in a traceback."""
+
+    PREFIX = {0: None, 2: "error: ", 3: "instance too large: "}
+
+    def test_analyze_and_embed(self):
+        for text, valid_quad in fuzz_files(seed=15, count=300):
+            for argv in (["analyze"], ["embed", "--graph", "--hypermetric-bound", "2"]):
+                code, _, err = run_on_file(text, *argv)
+                case = (argv[0], text, code, err)
+                assert code in self.PREFIX, case
+                if self.PREFIX[code] is None:
+                    assert err == "", case
+                else:
+                    assert err.startswith(self.PREFIX[code]), case
+                    assert err.count("\n") == 1 and err.endswith("\n"), case
+                    assert "Traceback" not in err, case
+                if valid_quad and argv[0] == "analyze":
+                    assert code == 0, case
+
+
 class TestHelpers:
     def test_skeleton_name(self):
         assert skeleton_name(6, 0) == "K6"
@@ -519,8 +615,6 @@ class TestParserReuse:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "shortlinks", "table", "--max-dim", "2"],
-            capture_output=True, text=True, timeout=120)
+        proc = run_fresh("-m", "shortlinks", "table", "--max-dim", "2")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("1,2,3\t")

@@ -50,3 +50,15 @@ def test_build_kp_folds_without_the_closed_form():
     named |= {f"{node.value.id}.{node.attr}" for node in ast.walk(fn)
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
     assert not named & {"kp_summary", "product_dual", "math.prod", "prod"}
+
+
+@pytest.mark.parametrize("name", ["parse_complex", "parse_graph", "parse_quadrillage"])
+def test_parsers_leave_validation_to_the_constructors(name):
+    # formats._read is the one place where a constructor's ValueError
+    # becomes a FormatError; a parser that compared or raised would be a
+    # second validator of the same input
+    fn = next(node for node in parse(SRC / "formats.py").body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    found = [type(node).__name__ for node in ast.walk(fn)
+             if isinstance(node, (ast.Raise, ast.Compare, ast.Try))]
+    assert found == []

@@ -82,6 +82,26 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition([[1, 2], [2, 3]])
 
+    # from_spec only splits and checks digits; the constructor checks the rest
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Partition([[1], []]), "empty part in partition"),
+        (lambda: Partition([[1], [0, 2]]),
+         "partition elements must be positive integers: [0, 2]"),
+        (lambda: Partition([[1, 2], [2, 3]]), "parts are not disjoint: [2] repeated"),
+        (lambda: Partition([]), "partition needs at least one part"),
+        (lambda: Partition.from_spec("0|1"),
+         "partition elements must be positive integers: [0]"),
+        (lambda: Partition.from_spec("1,2|2"), "parts are not disjoint: [2] repeated"),
+        (lambda: Partition.from_spec("1||2"), "bad partition spec '1||2'"),
+        (lambda: Partition.from_spec("-1|2"), "bad partition spec '-1|2'"),
+        (lambda: Partition.from_spec("1|\u00b2"), "bad partition spec '1|\u00b2'"),
+    ], ids=["empty-part", "non-positive", "overlap", "no-parts", "spec-zero",
+            "spec-overlap", "spec-empty-part", "spec-negative", "spec-superscript"])
+    def test_rejection_message(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert type(info.value) is ValueError and str(info.value) == message
+
     def test_equality_ignores_input_order(self):
         assert Partition([[2, 3], [1]]) == Partition([[1], [3, 2]])
 

@@ -118,6 +118,52 @@ class TestConstructorErrors:
         assert K == tetrahedron_boundary() and K.vertices == (1, 2, 3, 4)
 
 
+FROM_FACETS_ERRORS = [
+    ([], "a complex needs at least one facet"),
+    ([[]], "a face must be nonempty"),
+    ([[1, 2, 2], [1, 2, 3]], "duplicate vertices in face [1, 2, 2]"),
+    ([[0, 1, 2], [1, 2]], "vertex ids must be positive integers: [0, 1, 2]"),
+    ([[1, 2, 3], [4, 5]], "facet [4, 5] has 2 vertices, expected 3"),
+    # several bad facets: the first in input order names the error
+    ([[1, 2, 3], [4, 5], [6, 6, 7]], "facet [4, 5] has 2 vertices, expected 3"),
+    ([[1, 2, 3], [6, 6, 7], [4, 5]], "duplicate vertices in face [6, 6, 7]"),
+    ([[1, 2], [0, 1, 2]], "vertex ids must be positive integers: [0, 1, 2]"),
+    ([[1, 2], [3, 4, 5], [0, 1]], "facet [3, 4, 5] has 3 vertices, expected 2"),
+]
+
+
+class TestFromFacets:
+    """The dimension is read off the first facet; the constructor checks
+    every facet, once, and names the first bad one in input order."""
+
+    @pytest.mark.parametrize("facets,message,kind", [
+        (facets, message, kind) for facets, message in FROM_FACETS_ERRORS
+        for kind in FACET_KINDS
+        if kind != "frozensets" or all(len(set(f)) == len(f) for f in facets)])
+    def test_message(self, facets, message, kind):
+        with pytest.raises(ValueError) as info:
+            SimplicialComplex.from_facets(FACET_KINDS[kind](facets))
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    @pytest.mark.parametrize("kind", FACET_KINDS)
+    def test_every_kind_gives_one_complex(self, kind):
+        facets = [[3, 1, 2], [1, 2, 4], [2, 3, 4], [1, 3, 4], [2, 1, 3]]
+        K = SimplicialComplex.from_facets(FACET_KINDS[kind](facets))
+        assert K == tetrahedron_boundary() and K.vertices == (1, 2, 3, 4)
+
+    def test_empty_generator(self):
+        with pytest.raises(ValueError, match="^a complex needs at least one facet$"):
+            SimplicialComplex.from_facets(f for f in ())
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_equals_the_constructor_on_kp(self, m):
+        for p in enumerate_partitions(m):
+            K = build_kp(p)
+            for make in FACET_KINDS.values():
+                facets = make([sorted(f) for f in K.facets])
+                assert SimplicialComplex.from_facets(facets) == K
+
+
 class TestFacesOfDim:
     def test_tetrahedron_edges(self):
         assert len(faces_of_dim(tetrahedron_boundary(), 1)) == 6
