@@ -46,18 +46,12 @@ def skeleton_name(m: int, h: int) -> str:
 
 
 def identify_complete_minus_matching(G: Graph):
-    """(m, h) if the graph is K_m - hK_2, else None."""
+    """(m, h) if the graph is K_m - hK_2, else None: it is exactly when no
+    vertex misses more than one other, that is, every degree is >= m - 2."""
     m = G.num_vertices
-    missing = []
-    verts = G.vertices
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if not G.has_edge(u, v):
-                missing.append((u, v))
-    touched = [v for e in missing for v in e]
-    if len(set(touched)) != len(touched):
+    if any(G.degree(v) < m - 2 for v in G.vertices):
         return None
-    return m, len(missing)
+    return m, m * (m - 1) // 2 - G.num_edges
 
 
 def _print_report(pairs, tsv: bool, out) -> None:

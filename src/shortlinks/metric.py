@@ -36,13 +36,13 @@ _DISCONNECTED = "graph is disconnected; the path-metric is undefined"
 
 
 class Graph:
-    """Simple undirected graph with one cached table of hop distances.
-
-    The table is built once, even for a disconnected graph; only a distance
-    across two components, or the metric of such a graph, raises.
+    """Simple undirected graph whose hop distances are BFS rows, each built
+    the first time a question needs it, so connectivity reads one row and a
+    disconnected graph builds only the rows its questions touch.  Only a
+    distance across two components, or the metric of such a graph, raises.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_dist")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_rows")
 
     def __init__(self, vertices, edges) -> None:
         verts = tuple(sorted(set(vertices)))
@@ -64,7 +64,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         object.__setattr__(self, "_adj", {v: frozenset(nb) for v, nb in adj.items()})
-        object.__setattr__(self, "_dist", None)
+        object.__setattr__(self, "_rows", [None] * len(verts))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -83,40 +83,40 @@ class Graph:
     def has_edge(self, u, v) -> bool:
         return v in self._adj[u]
 
-    def _table(self) -> list:
-        """One BFS row per vertex position; -1 marks an unreachable pair."""
-        if self._dist is None:
-            index, rows = self._index, []
-            for s in self.vertices:
-                row = [-1] * len(index)
-                row[index[s]] = 0
-                queue = [s]
-                for u in queue:
-                    du = row[index[u]] + 1
-                    for w in self._adj[u]:
-                        if row[index[w]] < 0:
-                            row[index[w]] = du
-                            queue.append(w)
-                rows.append(row)
-            object.__setattr__(self, "_dist", rows)
-        return self._dist
+    def _row(self, i: int) -> list:
+        """Hop distances from vertex position i, by one BFS on first use;
+        -1 marks an unreachable vertex."""
+        row = self._rows[i]
+        if row is None:
+            index = self._index
+            row = [-1] * len(index)
+            row[i] = 0
+            queue = [self.vertices[i]]
+            for u in queue:
+                du = row[index[u]] + 1
+                for w in self._adj[u]:
+                    if row[index[w]] < 0:
+                        row[index[w]] = du
+                        queue.append(w)
+            self._rows[i] = row
+        return row
 
     def _distance_rows(self) -> list:
         """The whole path-metric, which only a connected graph has."""
         if not self.is_connected():
             raise ValueError(_DISCONNECTED)
-        return self._table()
+        return list(map(self._row, range(len(self.vertices))))
 
     def distance(self, u, v) -> int:
         """Path-metric (number of hops on a shortest path); u and v must lie
         in one component."""
-        d = self._table()[self._index[u]][self._index[v]]
+        d = self._row(self._index[u])[self._index[v]]
         if d < 0:
             raise ValueError(_DISCONNECTED)
         return d
 
     def is_connected(self) -> bool:
-        return -1 not in self._table()[0]
+        return -1 not in self._row(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -328,7 +328,7 @@ def partial_cube(G: Graph):
 
     Each edge uv splits the vertices into those strictly nearer u and
     those strictly nearer v (the Djoković–Winkler relation), read from the
-    two endpoint rows of the graph's distance table.  In a bipartite graph
+    two endpoint rows of the graph's distances.  In a bipartite graph
     every vertex is strictly nearer one end of each edge, so a vertex
     equidistant from both ends proves an odd cycle and None is returned at
     once.  One split is computed per class: an edge whose ends an earlier
@@ -343,7 +343,7 @@ def partial_cube(G: Graph):
     """
     if not G.is_connected():
         raise ValueError("partial-cube recognition needs a connected graph")
-    index, rows = G._index, G._table()
+    index, rows = G._index, G._distance_rows()
     splits = []  # bitmask of the side away from the base, one per class
     for u, v in G.edges:
         iu, iv = index[u], index[v]

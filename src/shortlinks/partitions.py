@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .simplicial import (Partition, SimplicialComplex, _clique_parts, _link_cycles,
-                         characteristic_partition, complex_type,
+                         _link_sizes, characteristic_partition, complex_type,
                          is_closed_pseudomanifold)
 
 
@@ -138,7 +138,7 @@ def _failing_facets(K: SimplicialComplex, sizes) -> set:
     cycles leaves its facets none, except for ``dim == 1``."""
     pairs, failing = defaultdict(list), set()  # facet mask -> triangle pairs
     for mask, edges in K._face_table().items():
-        link = K._sizes[mask]
+        link = _link_sizes(K, mask)
         if link == (3,):
             for e in edges:
                 pairs[mask | e].append(e)

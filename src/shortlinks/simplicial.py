@@ -269,9 +269,13 @@ def link_of_face(K: SimplicialComplex, F) -> LinkReport:
 
 
 def complex_type(K: SimplicialComplex) -> set:
-    """The set of all link cycle lengths over the (n-2)-faces of ``K``."""
-    return set(itertools.chain.from_iterable(
-        _link_sizes(K, mask) for mask in K._face_table()))
+    """The set of all link cycle lengths over the (n-2)-faces of ``K``;
+    once every link is cached, only the cached lengths are read."""
+    faces = K._face_table()
+    if len(K._sizes) < len(faces):
+        for mask in faces:
+            _link_sizes(K, mask)
+    return set(itertools.chain.from_iterable(K._sizes.values()))
 
 
 def long_link_faces(K: SimplicialComplex, least: int) -> list:

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from shortlinks import (Graph, Partition, cli, formats, grid, kp_summary,
+from shortlinks import (Graph, Partition, cli, complete_minus_cycle,
+                        complete_minus_matching, formats, grid, kp_summary,
                         quadrillage, symmetry)
 from shortlinks.cli import _verify_row, main, skeleton_name
 from shortlinks.formats import parse_complex
@@ -334,6 +335,32 @@ class TestDisconnectedInput:
         assert report["5-gonal"] == DISCONNECTED
         assert report["hypermetric (bound 3)"] == DISCONNECTED
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the peak RSS from /proc")
+    @pytest.mark.parametrize("argv, text", [
+        (["embed", "--graph"], "graph 4000\n1 2\n"),
+        (["analyze"], "quad 4000\n1 2 3 4\n")], ids=["graph", "quad"])
+    def test_one_item_in_a_large_header_reads_few_rows(self, tmp_path, argv, text):
+        # 4000 rows of 4000 cells would peak near 140 MB.  VmHWM, not
+        # ru_maxrss, which keeps the peak of the process that forked it
+        f = tmp_path / "large.txt"
+        f.write_text(text)
+        proc = run_fresh("-c", "import sys\n"
+                         "from shortlinks.cli import main\n"
+                         "code = main(sys.argv[1:])\n"
+                         "print(open('/proc/self/status').read().split('VmHWM:')[1]"
+                         ".split()[0])\n"
+                         "sys.exit(code)", argv[0], str(f), *argv[1:])
+        assert proc.returncode == 0 and proc.stderr == ""
+        *lines, peak_kib = proc.stdout.splitlines()
+        report = report_lines("\n".join(lines))
+        assert [report[key] for key in EMBEDDABILITY_KEYS] == [
+            DISCONNECTED, DISCONNECTED, "skipped (vertex guard)",
+            "skipped (partial-cube recognition needs a connected graph)"]
+        if argv[0] == "analyze":
+            assert report["embeddable by zones"] == DISCONNECTED
+        assert int(peak_kib) < 40 * 1024
+
     def test_embed_two_triangles(self, capsys, tmp_path):
         f = tmp_path / "two_triangles.txt"
         f.write_text("graph 6\n1 2\n2 3\n1 3\n4 5\n5 6\n4 6\n")
@@ -511,6 +538,29 @@ class TestHelpers:
         p = Partition.from_spec("1,2|3,4,5|6")
         assert _verify_row(p, kp_summary(p)) == "yes"
         assert len(chain_builds) == 1
+
+    def test_skeleton_identified_from_degrees(self):
+        def pair_scan(G):  # K_m - hK_2 exactly when the missing pairs are disjoint
+            missing = [e for e in itertools.combinations(G.vertices, 2)
+                       if not G.has_edge(*e)]
+            touched = [v for e in missing for v in e]
+            if len(set(touched)) != len(touched):
+                return None
+            return G.num_vertices, len(missing)
+
+        identify = cli.identify_complete_minus_matching
+        for m in range(1, 10):
+            for h in range(m // 2 + 1):
+                assert identify(complete_minus_matching(m, h)) == (m, h)
+            for h in range(3, m + 1):
+                assert identify(complete_minus_cycle(m, h)) is None
+        rng = random.Random(20000)
+        for _ in range(20000):
+            verts = range(1, rng.randint(1, 9) + 1)
+            keep = rng.choice((rng.random(), 1 - rng.random() / 4))  # often dense
+            G = Graph(verts, [e for e in itertools.combinations(verts, 2)
+                              if rng.random() < keep])
+            assert identify(G) == pair_scan(G)
 
     @pytest.mark.parametrize("spec", ["1|2|3|4|5|6,7", "1|2|3|4|5|6|7"])
     def test_rows_beyond_the_vertex_guard_are_unverified(self, spec):

@@ -62,3 +62,14 @@ def test_parsers_leave_validation_to_the_constructors(name):
     found = [type(node).__name__ for node in ast.walk(fn)
              if isinstance(node, (ast.Raise, ast.Compare, ast.Try))]
     assert found == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "simplicial.py"],
+                         ids=lambda p: p.name)
+def test_only_simplicial_reads_the_complex_caches(path):
+    # a link read from a cache slot elsewhere works only when some earlier
+    # call happened to fill it; _chain is left out, symmetry owns that slot
+    slots = {"_ridges", "_faces", "_sizes", "_links"}
+    found = [f"{node.attr}:{node.lineno}" for node in ast.walk(parse(path))
+             if isinstance(node, ast.Attribute) and node.attr in slots]
+    assert found == []

@@ -89,6 +89,24 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="disconnected"):
             cut_cone_decompose(G)
 
+    def test_rows_are_built_when_first_needed(self):
+        G = Graph(range(1, 7), [(1, 2), (3, 4), (4, 5)])
+        built = lambda: [i for i, row in enumerate(G._rows) if row is not None]
+        assert not G.is_connected() and built() == [0]
+        assert G.distance(3, 5) == 2 and built() == [0, 2]
+        assert G.distance(5, 3) == 2 and built() == [0, 2, 4]
+        with pytest.raises(ValueError, match="disconnected"):
+            G.distance(6, 1)
+        assert built() == [0, 2, 4, 5]
+        with pytest.raises(ValueError, match="connected graph"):
+            partial_cube(G)
+        with pytest.raises(ValueError, match="disconnected"):
+            kgonal_violations(G, 2)
+        assert built() == [0, 2, 4, 5]
+        C = cycle_graph(6)
+        assert C._distance_rows() == [[min(abs(i - j), 6 - abs(i - j))
+                                       for j in range(6)] for i in range(6)]
+
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
             Graph([1, 2], [(1, 1)])

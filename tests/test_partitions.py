@@ -289,6 +289,11 @@ class TestClassify:
         assert classify(K).sizes == Partition.from_spec(spec).sizes
         assert facets == [min(K.facets, key=sorted)]
 
+    def test_sweep_reads_links_nothing_has_read_yet(self):
+        for m in range(2, 9):
+            for p in enumerate_partitions(m):
+                assert partitions._failing_facets(build_kp(p), p.sizes) == set()
+
     def test_lemma_same_partition_on_every_facet(self):
         for m in range(2, 7):
             for p in enumerate_partitions(m):

@@ -6,7 +6,9 @@ from collections import Counter, defaultdict
 import pytest
 
 from shortlinks import (
+    Graph,
     Partition,
+    Quadrillage,
     SimplicialComplex,
     are_isomorphic,
     build_kp,
@@ -23,7 +25,7 @@ from shortlinks import (
     skeleton,
 )
 from conftest import read_fixture
-from shortlinks import _bijections, partitions, simplicial
+from shortlinks import _bijections, partitions, simplicial, symmetry
 from shortlinks.formats import parse_complex
 
 
@@ -576,6 +578,16 @@ class TestComplexType:
     def test_figure1_type(self):
         assert complex_type(figure1()) == {3, 4, 5}
 
+    def test_second_call_reads_only_cached_lengths(self, monkeypatch):
+        K, partial = figure1(), figure1()  # partial: one link read first
+        link_of_face(partial, min(map(partial._face, partial._face_table()), key=sorted))
+        assert complex_type(K) == complex_type(partial) == {3, 4, 5}
+
+        def refuse(*args):
+            raise AssertionError("a link was read again")
+        monkeypatch.setattr(simplicial, "_link_sizes", refuse)
+        assert complex_type(K) == complex_type(partial) == {3, 4, 5}
+
 
 class TestSkeleton:
     def test_simplex_skeleton_complete(self):
@@ -672,6 +684,36 @@ class TestIsomorphism:
     def test_different_facet_counts(self):
         assert are_isomorphic(tetrahedron_boundary(), octahedron()) is None
 
+    def test_counts_decide_before_the_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(symmetry, "find_bijection", refuse)
+        square = SimplicialComplex(1, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        assert are_isomorphic(square, tetrahedron_boundary()) is None  # dimension
+        # 6 vertices and 8 or 7 facets; 4 facets on 6 or 4 vertices
+        assert are_isomorphic(octahedron(), SimplicialComplex(
+            2, list(octahedron().facets)[:7])) is None
+        assert are_isomorphic(SimplicialComplex(1, [(1, 2), (3, 4), (5, 6), (1, 6)]),
+                              square) is None
+
+    def test_exhausted_search_proves_non_isomorphism(self):
+        # equal counts and vertex signatures, so only the search tells them apart
+        c6 = [(k, k % 6 + 1) for k in range(1, 7)]
+        triangles = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
+
+        def suspension(edges):
+            return [(*e, apex) for e in edges for apex in (7, 8)]
+
+        for dim, A, B in ((1, c6, triangles),
+                          (2, suspension(c6), suspension(triangles))):
+            K1, K2 = SimplicialComplex(dim, A), SimplicialComplex(dim, B)
+            assert is_closed_pseudomanifold(K1).is_closed
+            assert is_closed_pseudomanifold(K2).is_closed
+            assert _bijections._compatible(_bijections._Instance(K1.facets),
+                                           _bijections._Instance(K2.facets))
+            assert are_isomorphic(K1, K2) is None
+            assert are_isomorphic(K2, K1) is None
+
     def test_identity_case(self):
         K = octahedron()
         phi = are_isomorphic(K, K)
@@ -688,3 +730,25 @@ class TestIsomorphism:
                             lambda self, cands: tuple(range(self.n)))
         with pytest.raises(AssertionError, match="audit"):
             are_isomorphic(K1, K2)
+
+
+@pytest.mark.parametrize("build, rebuild, text", [
+    (lambda: Graph([1, 2, 3], [(1, 2), (1, 3)]),
+     lambda: Graph((3, 2, 1), [(3, 1), (2, 1), (1, 2)]),
+     "Graph(3 vertices, 2 edges)"),
+    (octahedron, lambda: SimplicialComplex(2, [sorted(f, reverse=True)
+                                               for f in octahedron().facets]),
+     "SimplicialComplex(dim=2, facets=8, vertices=6)"),
+    (lambda: Partition([[3, 1], [2]]), lambda: Partition.from_spec("2|1,3"),
+     "Partition('2|1,3')"),
+    (lambda: Quadrillage(5, [(1, 2, 3, 4)]), lambda: Quadrillage(5, [(3, 2, 1, 4)]),
+     "Quadrillage(5 vertices, 4 edges, 1 faces)"),
+], ids=["Graph", "SimplicialComplex", "Partition", "Quadrillage"])
+def test_value_types_are_immutable_and_hash_by_value(build, rebuild, text):
+    a, b = build(), rebuild()
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == repr(b) == text
+    for name in ("vertices", "new_name"):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(a, name, None)
+    assert a == b
