@@ -23,9 +23,9 @@ and handed to the routines that read it, so a caller keeping it (as
 twice.  :func:`all_automorphism_images` forms each product in C: one
 ``operator.itemgetter`` per stabilizer element, applied to each
 transversal element.  The non-identity transversal elements generate
-Aut; :func:`automorphism_generators` keeps the ones each level needs,
-which is how the metric layer gets the automorphisms of a graph (its
-edges as 2-sets) from the same routine.
+Aut; :func:`automorphism_generators` keeps the ones each level needs.
+The metric layer keeps one chain per graph (its edges as 2-sets) and
+reads it in the cut-cone LP and in the k-gonal search.
 
 Two routines act on any permutations, not only automorphisms:
 :func:`orbit_closure` splits a set into orbits under given maps, and

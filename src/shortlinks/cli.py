@@ -285,7 +285,7 @@ def cmd_embed(args) -> int:
 
 def _hypermetric_bound(text: str) -> int:
     """``--hypermetric-bound``: an integer >= 2 (2 is the 5-gonal bound)."""
-    if not text.isdigit() or int(text) < 2:
+    if not text.isdecimal() or int(text) < 2:
         raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
     return int(text)
 

@@ -5,11 +5,12 @@ binary addresses whose Hamming distances are exactly lambda times the
 path-metric; scale 1 is the partial-cube case.  Necessary conditions come
 from the hypermetric (in particular 5-gonal) inequalities; the exact
 decision is membership of the metric in the cut cone, solved here as an
-exact rational feasibility problem.  The metric is invariant under the
-graph's automorphisms, so the problem is posed on orbits of cuts and of
-vertex pairs: an Aut-invariant decomposition exists whenever any does.
-Each decomposition found is expanded to every cut of its orbits and
-audited over all vertex pairs without using the group.
+exact rational feasibility problem.  The metric is invariant under Aut(G),
+kept on the Graph as one stabilizer chain that both searches read: the LP
+is posed on orbits of cuts and of vertex pairs (an Aut-invariant
+decomposition exists whenever any does), and the k-gonal search visits
+its vectors up to Aut(G).  What they find is expanded to whole orbits and
+audited without using the group.
 
 Every certificate has one audit: its addresses, packed as ints with the
 first coordinate in the top bit, must differ in scale * distance bits.  A
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter
 
 from ._bijections import _stabilizer_chain, automorphism_generators, orbit_closure
 from .errors import GuardExceeded
@@ -42,7 +43,7 @@ class Graph:
     distance across two components, or the metric of such a graph, raises.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_rows")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_rows", "_chain")
 
     def __init__(self, vertices, edges) -> None:
         verts = tuple(sorted(set(vertices)))
@@ -65,6 +66,7 @@ class Graph:
             adj[v].add(u)
         object.__setattr__(self, "_adj", {v: frozenset(nb) for v, nb in adj.items()})
         object.__setattr__(self, "_rows", [None] * len(verts))
+        object.__setattr__(self, "_chain", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -128,6 +130,17 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.num_vertices} vertices, {self.num_edges} edges)"
+
+
+def _automorphism_chain(G: Graph) -> list:
+    """Aut(G) as the stabilizer chain of its edges, built once and kept on G.
+    Its positions are G's only for a connected graph with an edge."""
+    if G._chain is None:
+        if not G.is_connected():
+            raise ValueError(_DISCONNECTED)
+        chain = _stabilizer_chain(G.edges) if G.edges else [(0, [(0,)])]
+        object.__setattr__(G, "_chain", chain)
+    return G._chain
 
 
 def complete_graph(m: int) -> Graph:
@@ -222,25 +235,37 @@ def kgonal_violations(G: Graph, bound: int = 3) -> list:
 
     Every integer vector b on the vertices with sum b_i = 1 and
     sum |b_i| <= 2*bound + 1 is considered; the result lists those with
-    sum_{i<j} b_i b_j d(i, j) > 0, sorted by their coefficients.  The
-    search recurses on the next nonzero position only and carries the
-    score as running sums: the value of the vector so far and
-    ``cross[p] = sum_k b_k d(k, p)`` for the positions p still free, so
-    placing c at p adds ``c * cross[p]``.  The last coefficient is forced
-    to 1 - (sum so far), and one max/min over ``cross`` decides whether
-    any position can take it with a violation.  Each violation found is
-    audited with the independent :meth:`GonalVector.value`.  A
-    disconnected graph raises ``ValueError``.
+    sum_{i<j} b_i b_j d(i, j) > 0, sorted by their coefficients.  Vertices
+    are read in the base order b_0, b_1, ... of the graph's stabilizer
+    chain, and a vector is kept only if its value at each b_d is at least
+    its value on the basic orbit {t(b_d) : t in T_d}, 0 counting below
+    every nonzero value and nonzero values ascending.  The greatest vector
+    of each Aut-orbit, read in base order, is kept, as t in T_d fixes
+    b_0..b_{d-1} (Sims 1970; Seress 2003).  The search recurses on the
+    next nonzero position only and carries the score as running sums: the
+    value of the vector so far and ``cross[p] = sum_k b_k d(k, p)`` for
+    the positions p still free, so placing c at p adds ``c * cross[p]``.
+    The last coefficient is forced to 1 - (sum so far), and one max/min
+    over ``cross`` decides whether any position can take it with a
+    violation.  Each violation found is expanded to its orbit under the
+    chain's generators, and every image is audited with the independent
+    :meth:`GonalVector.value`.  A disconnected graph raises ``ValueError``.
     """
     if bound < 2:
         raise ValueError("bound must be >= 2")
     budget = 2 * bound + 1
-    verts = G.vertices
     dist = G._distance_rows()
-    n = len(verts)
-    # scaled[p][c][q - p - 1] = c * d(p, q) for the positions q > p
-    scaled = [{c: [c * d for d in dist[p][p + 1:]]
-               for c in range(-budget, budget + 1) if c} for p in range(n)]
+    chain = _automorphism_chain(G)
+    order = [b for b, _ in chain]  # the vertex position at each base index
+    n = len(order)
+    rank = {b: d for d, b in enumerate(order)}
+    above = [[] for _ in range(n)]  # the d < q whose basic orbit holds b_q
+    for d, (b, level) in enumerate(chain):
+        for t in level[1:]:
+            above[rank[t[b]]].append(d)
+    # scaled[p][c][q - p - 1] = c * d(b_p, b_q) for the base indices q > p
+    scaled = [{c: [c * dist[b][q] for q in order[p + 1:]]
+               for c in range(-budget, budget + 1) if c} for p, b in enumerate(order)]
     # moves[left][total]: the (c, total + c, left - |c|) that leave budget
     # for at least one more nonzero coefficient and for reaching a sum of 1
     moves = [{total: [(c, total + c, left - abs(c))
@@ -248,25 +273,26 @@ def kgonal_violations(G: Graph, bound: int = 3) -> list:
                       if c and abs(1 - total - c) <= left - abs(c)]
               for total in range(-budget, budget + 1)}
              for left in range(budget + 1)]
-    violations = []
-    support = []  # (position, coefficient) of the nonzero entries so far
+    found, vec = [], [0] * n  # found by vertex position, vec by base index
 
-    def emit(p: int, c: int):
-        vec = GonalVector(tuple((verts[i], b) for i, b in support)
-                          + ((verts[p], c),))
-        if not vec.value(G) > 0:
-            raise AssertionError("k-gonal violation failed its audit")
-        violations.append(vec)
+    def allowed(q: int, options) -> list:
+        """The options whose coefficient may stand at base index q."""
+        tops = [vec[d] for d in above[q]]
+        top = -budget - 1 if 0 in tops else min(tops)
+        return [move for move in options if move[0] <= top]
 
     def extend(start: int, left: int, total: int, value: int, cross: list):
-        # cross[p - start] is the running sum for position p >= start
+        # cross[p - start] is the running sum for base index p >= start
         last = 1 - total
         if last and abs(last) <= left:
             best = max(cross) if last > 0 else min(cross)
             if value + last * best > 0:
                 for p in range(start, n):
-                    if value + last * cross[p - start] > 0:
-                        emit(p, last)
+                    if (value + last * cross[p - start] > 0
+                            and (not above[p] or allowed(p, [(last,)]))):
+                        vec[p] = last
+                        found.append(tuple(vec[rank[b]] for b in range(n)))
+                        vec[p] = 0
         options = moves[left][total]
         if not options:
             return
@@ -274,13 +300,21 @@ def kgonal_violations(G: Graph, bound: int = 3) -> list:
             here = cross[p - start]
             tail = cross[p + 1 - start:]
             rows = scaled[p]
-            for c, now, rest in options:
-                support.append((p, c))
+            for c, now, rest in allowed(p, options) if above[p] else options:
+                vec[p] = c
                 extend(p + 1, rest, now, value + c * here,
                        list(map(add, tail, rows[c])))
-                support.pop()
+            vec[p] = 0
 
     extend(0, budget, 0, 0, [0] * n)
+    gens = [itemgetter(*g) for g in automorphism_generators(chain)]
+    violations = []
+    for orbit in orbit_closure(found, gens):
+        for image in orbit:
+            gonal = GonalVector(tuple((v, b) for v, b in zip(G.vertices, image) if b))
+            if not gonal.value(G) > 0:
+                raise AssertionError("k-gonal violation failed its audit")
+            violations.append(gonal)
     violations.sort(key=lambda v: v.coefficients)
     return violations
 
@@ -438,7 +472,7 @@ def cut_cone_decompose(G: Graph):
     metric = {(verts[i], verts[j]): dist[i][j] for i, j in pairs}
     if n == 1:
         return CutDecomposition(weights={}, vertices=verts, metric=metric)
-    gens = automorphism_generators(_stabilizer_chain(G.edges))
+    gens = automorphism_generators(_automorphism_chain(G))
     # a cut is the bitmask of its side without vertex 0: bit 0 is clear
     cut_orbits = orbit_closure(range(2, 1 << n, 2), [_cut_mover(g, n) for g in gens])
     pair_movers = [lambda p, g=g: tuple(sorted((g[p[0]], g[p[1]]))) for g in gens]
@@ -522,6 +556,8 @@ def find_scaled_embedding(G: Graph, scale: int, dim: int):
     degree order.  Returns an address dict, audited against scale times the
     metric, or None when no embedding exists at exactly these parameters.
     """
+    if scale < 1:
+        raise ValueError("scale must be a positive integer")
     if G.num_vertices > EMBED_VERTEX_GUARD:
         raise GuardExceeded(
             f"embedding search is limited to {EMBED_VERTEX_GUARD} vertices, "
@@ -530,8 +566,6 @@ def find_scaled_embedding(G: Graph, scale: int, dim: int):
         raise GuardExceeded(
             f"embedding search is limited to dimension "
             f"{EMBED_DIMENSION_GUARD}, requested {dim}")
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
     rows, index = G._distance_rows(), G._index
     order = sorted(G.vertices, key=lambda v: (-G.degree(v), v))
     n = len(order)
@@ -549,7 +583,8 @@ def find_scaled_embedding(G: Graph, scale: int, dim: int):
 
 
 def a_m(m: int) -> int:
-    """Minimal known scale for embedding K_{m+1}-K_2 and K_{2m}-mK_2."""
+    """The paper's scale for K_{m+1}-K_2 and K_{2m}-mK_2 as transcribed here:
+    an upper bound, not the minimum (K6-K2, K7-K2, K8-K2 embed at scale 4)."""
     if m < 3:
         raise ValueError("m must be >= 3")
     if m % 2 == 0:

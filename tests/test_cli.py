@@ -235,6 +235,20 @@ class TestEmbed:
                              "--graph", "--scale", "2")
         assert code == 2
 
+    def test_nonpositive_scale_is_an_input_error_before_the_guards(self, capsys):
+        # dimension 20 is past the guard, but the scale is checked first
+        code, _, err = run_cli(capsys, "embed", str(FIXTURES / "k5_k3.txt"),
+                               "--graph", "--scale", "0", "--dim", "20")
+        assert code == 2
+        assert err == "error: scale must be a positive integer\n"
+
+    def test_builds_one_stabilizer_chain(self, capsys, chain_builds):
+        # the cut-cone LP builds the chain and the k-gonal search reads it
+        code, out, _ = run_cli(capsys, "embed", str(FIXTURES / "k7_c5.txt"),
+                               "--graph")
+        assert code == 0 and "infeasible" in out
+        assert len(chain_builds) == 1
+
     def test_guard_exit_3(self, capsys, tmp_path):
         from shortlinks import complete_graph
         from shortlinks.formats import serialize_graph
@@ -285,6 +299,16 @@ class TestCertificateOrder:
                   "--hypermetric-bound", bound])
         assert exc.value.code == 2
         assert "--hypermetric-bound" in capsys.readouterr().err
+
+    def test_hypermetric_bound_of_a_non_decimal_digit(self, capsys):
+        # '²'.isdigit() holds but int('²') fails; the message names the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", str(FIXTURES / "k5_k2.txt"), "--graph",
+                  "--hypermetric-bound", "²"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be an integer >= 2, got '²'" in err
+        assert "_hypermetric_bound" not in err
 
 
 DISCONNECTED = "skipped (graph is disconnected; the path-metric is undefined)"

@@ -35,6 +35,21 @@ def test_metric_reuses_only_the_group_routine():
     assert imported <= {"errors", "exactlp", "_bijections"}
 
 
+def test_metric_builds_the_graph_chain_in_one_helper():
+    # every search reads Graph._chain through _automorphism_chain, so none
+    # can build a second chain of the same graph
+    tree = parse(SRC / "metric.py")
+
+    def references(node) -> int:
+        return sum(isinstance(name, ast.Name) and name.id == "_stabilizer_chain"
+                   for name in ast.walk(node))
+
+    users = [fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and references(fn)]
+    assert users == ["_automorphism_chain"]
+    assert references(tree) == 1
+
+
 def test_symmetry_does_not_consult_the_classifier():
     # are_isomorphic is the oracle that classify's verdicts are checked against
     imported = {node.module for node in ast.walk(parse(SRC / "symmetry.py"))

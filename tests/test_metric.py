@@ -282,6 +282,80 @@ class TestKgonalAgainstReference:
             kgonal_violations(k23(), 2)
 
 
+def petersen_graph() -> Graph:
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]  # a pentagram
+    return Graph(range(1, 11), outer + spokes + inner)
+
+
+def cycle_product(*lengths) -> Graph:
+    """The Cartesian product of cycles of the given lengths."""
+    points = list(itertools.product(*map(range, lengths)))
+    index = {x: i + 1 for i, x in enumerate(points)}
+    edges = [(index[x], index[x[:k] + ((x[k] + 1) % m,) + x[k + 1:]])
+             for x in points for k, m in enumerate(lengths)]
+    return Graph(index.values(), edges)
+
+
+def with_trivial_chain(G: Graph) -> Graph:
+    """A copy of G whose chain holds only the identity at each level, so
+    the k-gonal search runs without the group."""
+    H = Graph(G.vertices, G.edges)
+    identity = tuple(range(H.num_vertices))
+    object.__setattr__(H, "_chain", [(i, [identity]) for i in range(H.num_vertices)])
+    return H
+
+
+SYMMETRIC_GRAPHS = {
+    "K2,3": (k23(), 3),
+    "K2,4": (complete_bipartite(2, 4), 3),
+    "K3,3": (complete_bipartite(3, 3), 3),
+    "petersen": (petersen_graph(), 2),
+    **{f"K{m}-C{h}": (complete_minus_cycle(m, h), 3)
+       for m in range(3, 9) for h in range(3, m + 1)
+       if complete_minus_cycle(m, h).is_connected()},
+    **{f"K{m}-{h}K2" if h else f"K{m}": (complete_minus_matching(m, h), 3)
+       for m in range(3, 9) for h in range(m // 2 + 1)},
+    **{f"C{m}": (cycle_graph(m), 3) for m in range(3, 10)},
+    "Q3": (hypercube_graph(3), 3),
+    "torus_3x3": (torus(3, 3).skeleton(), 3),
+    "torus_3x4": (torus(3, 4).skeleton(), 3),
+}
+
+
+class TestKgonalUpToAutomorphisms:
+    @pytest.mark.parametrize("name", SYMMETRIC_GRAPHS)
+    def test_equals_the_search_without_the_group(self, name):
+        G, bound = SYMMETRIC_GRAPHS[name]
+        assert any(len(level) > 1 for _, level in metric._automorphism_chain(G))
+        found = kgonal_violations(G, bound)
+        assert found == kgonal_violations(with_trivial_chain(G), bound)
+        if G.num_vertices <= 8:
+            assert found == reference_kgonal_violations(G, bound)
+
+    def test_orbit_expansion_is_exercised(self):
+        violated = [name for name, (G, bound) in SYMMETRIC_GRAPHS.items()
+                    if kgonal_violations(G, bound)]
+        assert {"K2,3", "K2,4", "K3,3", "K5-C3", "K6-C3"} <= set(violated)
+
+    @pytest.mark.parametrize("lengths", [(5, 5), (3, 3, 3)], ids=["C5xC5", "C3xC3xC3"])
+    def test_vertex_transitive_products_are_clean_to_bound_3(self, lengths):
+        # 25 and 27 vertices, |Aut| = 200 and 1296
+        assert kgonal_violations(cycle_product(*lengths), 3) == []
+
+    def test_two_searches_build_one_chain(self, chain_builds):
+        G = complete_minus_cycle(7, 5)
+        assert kgonal_violations(G, 2) == kgonal_violations(G, 3) == []
+        assert chain_builds == [G.edges]
+
+    def test_cut_cone_then_search_build_one_chain(self, chain_builds):
+        G = complete_minus_cycle(7, 5)
+        assert cut_cone_decompose(G) is None
+        assert kgonal_violations(G, 3) == []
+        assert chain_builds == [G.edges]
+
+
 class TestPartialCube:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_hypercubes_recognized(self, n):
@@ -773,6 +847,19 @@ class TestAm:
     def test_range(self):
         with pytest.raises(ValueError):
             a_m(2)
+
+
+class TestAmIsAnUpperBound:
+    @pytest.mark.parametrize("m,formula", [(6, 6), (7, 6), (8, 20)])
+    def test_complete_minus_an_edge_embeds_at_scale_4(self, m, formula):
+        # K_m - K_2 is a_{m-1}'s graph; audited addresses beat the formula
+        G = complete_minus_matching(m, 1)
+        assert a_m(m - 1) == formula > 4
+        address = find_scaled_embedding(G, 4, 8)
+        assert address is not None
+        for u, v in itertools.combinations(G.vertices, 2):
+            ham = sum(a != b for a, b in zip(address[u], address[v]))
+            assert ham == 4 * G.distance(u, v)
 
 
 @st.composite
