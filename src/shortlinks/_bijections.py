@@ -1,13 +1,18 @@
 """Vertex bijections carrying one facet set onto another, and Aut as a stabilizer chain.
 
-The backtracking search assigns vertex images one at a time, restricting
-candidates to vertices with matching local invariants (skeleton degree,
-facet membership count, pairwise co-facet counts) and checking a facet's
-image as soon as all of its vertices are mapped.  When the complement of
-a facet is smaller than the facet itself, the complement family is
-checked instead (a bijection preserves one family exactly when it
-preserves the other).  Every search stops at its first solution, and
-every bijection it returns is audited against the two facet families.
+The backtracking search assigns vertex images one at a time and checks a
+facet's image as soon as all of its vertices are mapped.  When the
+complement of a facet is smaller than the facet itself, the complement
+family is checked instead (a bijection preserves one family exactly when
+it preserves the other).  The one pairwise invariant is the co-family
+count pair[u][v], read with the membership counts memb[v].  It decides
+the skeleton: of F facets, pair[u][v] hold both u and v on the facet
+family and F - memb[u] - memb[v] + pair[u][v] on the complement family,
+so no adjacency test is needed.  A vertex's signature is memb[v] with
+the multiset of (memb[u], pair[v][u]) over all u (pair[v][v] is 0),
+which fixes its skeleton degree.  Every search stops at its first
+solution, and every bijection it returns is audited against the two
+facet families.
 
 The automorphism group is never enumerated leaf by leaf.  With the
 search's vertex order as base b_0, b_1, ..., let G_d be the subgroup
@@ -54,9 +59,9 @@ class _Instance:
         idx = {v: i for i, v in enumerate(self.verts)}
         self.idx = idx
         nfac = [frozenset(idx[v] for v in f) for f in facets]
-        fsize = len(next(iter(nfac)))
+        self.fsize = fsize = len(next(iter(nfac)))
         full = frozenset(range(self.n))
-        # check whichever of the two mirror families has smaller members
+        # keep the mirror family with smaller members: n and fsize decide
         if 0 < self.n - fsize < fsize:
             self.family = [full - f for f in nfac]
         else:
@@ -67,11 +72,6 @@ class _Instance:
             for v in f:
                 m |= 1 << v
             self.fam_masks.add(m)
-        self.adj = [0] * self.n
-        for f in nfac:
-            for a, b in itertools.combinations(f, 2):
-                self.adj[a] |= 1 << b
-                self.adj[b] |= 1 << a
         memb = [0] * self.n
         pair = [[0] * self.n for _ in range(self.n)]
         for f in self.family:
@@ -82,7 +82,7 @@ class _Instance:
                 pair[b][a] += 1
         self.memb = memb
         self.pair = pair
-        self.sig = [(memb[v], bin(self.adj[v]).count("1")) for v in range(self.n)]
+        self.sig = [(m, tuple(sorted(zip(memb, row)))) for m, row in zip(memb, pair)]
 
 
 def _vertex_order(inst: _Instance) -> list:
@@ -110,6 +110,7 @@ class _Search:
     ``cands[v]`` lists the dst vertices whose signature matches src vertex
     v; :meth:`first` accepts any narrowing of those lists, which is how a
     stabilizer chain fixes a prefix of the base without a new set-up.
+    Sending v to w needs pair[v][u] = pair[w][img u] for each mapped u.
     """
 
     def __init__(self, src: _Instance, dst: _Instance, order) -> None:
@@ -121,16 +122,18 @@ class _Search:
         self.trig = [triggers.get(d, ()) for d in range(n)]
         src_counts = {src.pair[a][b] for a in range(n) for b in range(n) if a != b}
         dst_counts = {dst.pair[a][b] for a in range(n) for b in range(n) if a != b}
+        # one count throughout on both sides: no pair test can fail
         self.pair_constant = src_counts == dst_counts and len(src_counts) <= 1
         self.n, self.order, self.src, self.dst = n, order, src, dst
-        self.cands = [[w for w in range(n) if dst.sig[w] == src.sig[v]]
-                      for v in range(n)]
+        by_sig = defaultdict(list)
+        for w in range(n):
+            by_sig[dst.sig[w]].append(w)
+        self.cands = [by_sig.get(src.sig[v], []) for v in range(n)]
 
     def first(self, cands):
         """Image tuple (indexed by src vertex) of the first valid bijection
         with every image drawn from ``cands``, or None."""
         n, order, trig = self.n, self.order, self.trig
-        src_adj, dst_adj = self.src.adj, self.dst.adj
         src_pair, dst_pair = self.src.pair, self.dst.pair
         pair_constant = self.pair_constant
         dst_masks = self.dst.fam_masks
@@ -140,34 +143,27 @@ class _Search:
             if depth == n:
                 return True
             v = order[depth]
-            av = src_adj[v]
+            pv = src_pair[v]
+            mapped = () if pair_constant else order[:depth]
             for w in cands[v]:
                 bit = 1 << w
                 if used & bit:
                     continue
-                aw = dst_adj[w]
-                ok = True
-                for i in range(depth):
-                    u = order[i]
-                    iu = img[u]
-                    if ((av >> u) & 1) != ((aw >> iu) & 1):
-                        ok = False
-                        break
-                    if not pair_constant and src_pair[v][u] != dst_pair[w][iu]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                img[v] = w
-                for f in trig[depth]:
-                    m = 0
-                    for u in f:
-                        m |= 1 << img[u]
-                    if m not in dst_masks:
+                pw = dst_pair[w]
+                for u in mapped:
+                    if pv[u] != pw[img[u]]:
                         break
                 else:
-                    if rec(depth + 1, used | bit):
-                        return True
+                    img[v] = w
+                    for f in trig[depth]:
+                        m = 0
+                        for u in f:
+                            m |= 1 << img[u]
+                        if m not in dst_masks:
+                            break
+                    else:
+                        if rec(depth + 1, used | bit):
+                            return True
             return False
 
         return tuple(img) if rec(0, 0) else None
@@ -175,8 +171,8 @@ class _Search:
 
 def _compatible(src: _Instance, dst: _Instance) -> bool:
     return (src.n == dst.n
+            and src.fsize == dst.fsize
             and len(src.family) == len(dst.family)
-            and sorted(map(len, src.family)) == sorted(map(len, dst.family))
             and sorted(src.sig) == sorted(dst.sig))
 
 

@@ -257,20 +257,23 @@ def cmd_analyze(args) -> int:
 def cmd_embed(args) -> int:
     if not args.graph:
         raise FormatError("embed requires the --graph flag")
+    if args.scale is not None or args.dim is not None:
+        if args.scale is None or args.dim is None:
+            raise FormatError("--scale and --dim must be given together")
+        if args.scale < 1:
+            raise FormatError("scale must be a positive integer")
+        if args.dim < 0:
+            raise FormatError("dim must be a non-negative integer")
     with open(args.file, encoding="utf-8") as fh:
         G = formats.parse_graph(fh.read())
     pairs = [("graph", f"{G.num_vertices} vertices, {G.num_edges} edges")]
     pairs.extend(_embeddability_report(G, args.hypermetric_bound))
     _print_report(pairs, tsv=False, out=sys.stdout)
-    if args.scale is not None or args.dim is not None:
-        if args.scale is None or args.dim is None:
-            raise FormatError("--scale and --dim must be given together")
+    if args.scale is not None:
         head = f"embedding (scale {args.scale}, dim {args.dim})"
         try:
             found = find_scaled_embedding(G, args.scale, args.dim)
-        except ValueError as exc:
-            if args.scale < 1 or G.is_connected():
-                raise  # an input error, not the undefined path-metric
+        except ValueError as exc:  # the path-metric of a disconnected graph
             sys.stdout.write(f"{head}: skipped ({exc})\n")
             return 0
         if found is None:

@@ -470,8 +470,6 @@ def cut_cone_decompose(G: Graph):
     dist = G._distance_rows()
     pairs = list(itertools.combinations(range(n), 2))
     metric = {(verts[i], verts[j]): dist[i][j] for i, j in pairs}
-    if n == 1:
-        return CutDecomposition(weights={}, vertices=verts, metric=metric)
     gens = automorphism_generators(_automorphism_chain(G))
     # a cut is the bitmask of its side without vertex 0: bit 0 is clear
     cut_orbits = orbit_closure(range(2, 1 << n, 2), [_cut_mover(g, n) for g in gens])
@@ -558,6 +556,8 @@ def find_scaled_embedding(G: Graph, scale: int, dim: int):
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
+    if dim < 0:
+        raise ValueError("dim must be a non-negative integer")
     if G.num_vertices > EMBED_VERTEX_GUARD:
         raise GuardExceeded(
             f"embedding search is limited to {EMBED_VERTEX_GUARD} vertices, "

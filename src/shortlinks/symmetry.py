@@ -142,12 +142,12 @@ def are_isomorphic(K1: SimplicialComplex, K2: SimplicialComplex):
     Cheap invariants (dimension, vertex/facet counts, the multiset of
     vertex signatures) rule out most non-isomorphic pairs, and the
     backtracking search decides the rest; the classifier is not
-    consulted, so it can be checked against this.  For K(P) and K(P')
-    with the same facet count F the signatures alone decide when the
-    part sizes differ: a vertex in a part of size s lies in F·s/(s+1)
-    facets, so the membership counts differ as multisets.  A positive
-    answer is always returned as an explicit bijection found by
-    backtracking.
+    consulted, so it can be checked against this.  A signature is a
+    vertex's membership count with its (membership, co-member count)
+    pairs to every vertex, on the facets or their complements.  For K(P)
+    and K(P') with F facets each, the membership counts already differ
+    when the part sizes do: a vertex in a part of size s lies in F·s/(s+1)
+    facets.  A positive answer is always a bijection found by search.
     """
     if K1.dim != K2.dim:
         return None

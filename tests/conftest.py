@@ -30,3 +30,18 @@ def chain_builds(monkeypatch) -> list:
     for module in (_bijections, metric, symmetry):
         monkeypatch.setattr(module, "_stabilizer_chain", counted, raising=False)
     return calls
+
+
+@pytest.fixture
+def searches(monkeypatch) -> list:
+    """The candidate lists passed to ``_Search.first``, one snapshot per
+    first-solution search."""
+    calls = []
+    first = _bijections._Search.first
+
+    def counted(self, cands):
+        calls.append([tuple(c) for c in cands])
+        return first(self, cands)
+
+    monkeypatch.setattr(_bijections._Search, "first", counted)
+    return calls

@@ -242,6 +242,18 @@ class TestEmbed:
         assert code == 2
         assert err == "error: scale must be a positive integer\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--scale", "0", "--dim", "20"], "scale must be a positive integer"),
+        (["--scale", "2"], "--scale and --dim must be given together"),
+        (["--dim", "3"], "--scale and --dim must be given together"),
+        (["--scale", "1", "--dim", "-1"], "dim must be a non-negative integer"),
+    ])
+    def test_scale_and_dim_are_checked_before_any_report(self, capsys, flags,
+                                                         message):
+        for path in (FIXTURES / "k5_k3.txt", FIXTURES / "missing.txt"):
+            code, out, err = run_cli(capsys, "embed", str(path), "--graph", *flags)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_builds_one_stabilizer_chain(self, capsys, chain_builds):
         # the cut-cone LP builds the chain and the k-gonal search reads it
         code, out, _ = run_cli(capsys, "embed", str(FIXTURES / "k7_c5.txt"),

@@ -442,6 +442,11 @@ class TestCutCone:
         with pytest.raises(GuardExceeded):
             cut_cone_decompose(complete_graph(14))
 
+    def test_single_vertex_has_no_cuts(self):
+        dec = cut_cone_decompose(Graph([7], []))
+        assert dec == CutDecomposition(weights={}, vertices=(7,), metric={})
+        assert embedding_from_cuts(dec) == (1, {7: ()})
+
 
 def reference_cut_cone(G: Graph):
     """One column per cut and one row per vertex pair: the solution or None."""
@@ -825,6 +830,15 @@ class TestScaledEmbedding:
                             lambda need, dim: [0] * len(need))
         with pytest.raises(AssertionError, match="audit"):
             find_scaled_embedding(complete_minus_matching(5, 1), 2, 4)
+
+    def test_parameters_are_checked_before_the_guards(self):
+        big = complete_graph(9)  # past the vertex guard
+        with pytest.raises(ValueError, match="scale must be a positive integer"):
+            find_scaled_embedding(big, 0, 4)
+        with pytest.raises(ValueError, match="dim must be a non-negative integer"):
+            find_scaled_embedding(big, 1, -1)
+        with pytest.raises(ValueError, match="dim must be a non-negative integer"):
+            find_scaled_embedding(complete_graph(1), 1, -1)
 
     def test_guards(self):
         with pytest.raises(GuardExceeded):

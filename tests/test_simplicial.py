@@ -714,6 +714,15 @@ class TestIsomorphism:
             assert are_isomorphic(K1, K2) is None
             assert are_isomorphic(K2, K1) is None
 
+    def test_signatures_tell_a_path_from_a_triangle_and_an_edge(self):
+        # equal vertex, edge and degree counts; an end of the path has a
+        # neighbour of degree 2, an end of the lone edge only one of degree 1
+        path = SimplicialComplex(1, [(1, 2), (2, 3), (3, 4), (4, 5)])
+        triangle_edge = SimplicialComplex(1, [(1, 2), (2, 3), (1, 3), (4, 5)])
+        assert not _bijections._compatible(_bijections._Instance(path.facets),
+                                           _bijections._Instance(triangle_edge.facets))
+        assert are_isomorphic(path, triangle_edge) is None
+
     def test_identity_case(self):
         K = octahedron()
         phi = are_isomorphic(K, K)

@@ -20,14 +20,15 @@ from shortlinks import (
     coxeter_presentation,
     cycle_graph,
     enumerate_partitions,
+    grid,
     hypercube_graph,
     kp_summary,
     orbits,
     product_dual,
 )
 from shortlinks import _bijections
-from shortlinks._bijections import (_Instance, _vertex_order,
-                                    automorphism_generators,
+from shortlinks._bijections import (_compatible, _Instance, _vertex_order,
+                                    automorphism_generators, find_bijection,
                                     permutation_group_order)
 from conftest import read_fixture
 from shortlinks.formats import parse_complex
@@ -135,8 +136,23 @@ def bruteforce_automorphisms(K) -> list:
     return _sorted_perms(verts, found)
 
 
-def leaf_walk_images(src, dst, order):
-    """The seed's full backtracking walk, yielding every valid bijection."""
+def skeleton_bitmasks(inst, facets) -> list:
+    """Skeleton bitmasks of ``facets`` on the positions of ``inst``."""
+    adj = [0] * inst.n
+    for f in facets:
+        for a, b in itertools.combinations([inst.idx[v] for v in f], 2):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
+
+
+def leaf_walk_images(src, dst, order, src_adj, dst_adj):
+    """The seed's full backtracking walk, yielding every valid bijection.
+
+    The skeleton bitmasks are passed in and the (membership, degree)
+    signatures are built here, so the walk reads only the family and its
+    counts from the code under test.
+    """
     n = src.n
     pos = {v: i for i, v in enumerate(order)}
     triggers = defaultdict(list)
@@ -147,10 +163,11 @@ def leaf_walk_images(src, dst, order):
     src_counts = {src.pair[a][b] for a in range(n) for b in range(n) if a != b}
     dst_counts = {dst.pair[a][b] for a in range(n) for b in range(n) if a != b}
     pair_constant = src_counts == dst_counts and len(src_counts) <= 1
-    src_adj, dst_adj = src.adj, dst.adj
     src_pair, dst_pair = src.pair, dst.pair
     dst_masks = dst.fam_masks
-    cands = [[w for w in range(n) if dst.sig[w] == src.sig[v]] for v in range(n)]
+    src_sig = [(src.memb[v], bin(src_adj[v]).count("1")) for v in range(n)]
+    dst_sig = [(dst.memb[v], bin(dst_adj[v]).count("1")) for v in range(n)]
+    cands = [[w for w in range(n) if dst_sig[w] == src_sig[v]] for v in range(n)]
     img = [-1] * n
 
     def rec(depth: int, used: int):
@@ -197,7 +214,9 @@ def reference_automorphisms(K) -> list:
     if len(K.vertices) <= 8:
         return bruteforce_automorphisms(K)
     inst = _Instance(K.facets)
-    return _sorted_perms(K.vertices, leaf_walk_images(inst, inst, _vertex_order(inst)))
+    adj = skeleton_bitmasks(inst, K.facets)
+    return _sorted_perms(K.vertices,
+                         leaf_walk_images(inst, inst, _vertex_order(inst), adj, adj))
 
 
 def small_kp_and_duals() -> list:
@@ -304,6 +323,60 @@ class TestStabilizerChain:
                             lambda self, cands: (0,) * self.n)
         with pytest.raises(AssertionError, match="audit"):
             automorphism_count(K)
+
+
+def random_graph_edges(rng: random.Random) -> list:
+    """Edges of a random graph on 4 to 10 vertices, at least one edge."""
+    n = rng.randint(4, 10)
+    density = rng.choice((0.3, 0.5, 0.7))
+    edges = [e for e in itertools.combinations(range(1, n + 1), 2)
+             if rng.random() < density]
+    return edges or [(1, 2)]
+
+
+SIGNATURE_CASES = ([build_kp(p).facets for m in range(2, 6)
+                    for p in enumerate_partitions(m)]
+                   + [product_dual(p).facets for m in range(2, 5)
+                      for p in enumerate_partitions(m)])
+
+
+class TestSignatures:
+    def test_invariant_under_relabelling(self):
+        rng = random.Random(20)
+        families = SIGNATURE_CASES + [random_graph_edges(rng) for _ in range(60)]
+        for facets in families:
+            verts = sorted(frozenset().union(*map(frozenset, facets)))
+            phi = dict(zip(verts, rng.sample(range(1, 100), len(verts))))
+            a = _Instance(facets)
+            b = _Instance([[phi[v] for v in f] for f in facets])
+            assert [a.sig[a.idx[v]] for v in verts] == \
+                [b.sig[b.idx[phi[v]]] for v in verts]
+            assert _compatible(a, b)
+
+    def test_determine_the_skeleton_degree(self):
+        rng = random.Random(21)
+        families = SIGNATURE_CASES + [random_graph_edges(rng) for _ in range(60)]
+        for facets in families:
+            inst = _Instance(facets)
+            degree = [bin(d).count("1") for d in skeleton_bitmasks(inst, facets)]
+            by_sig = defaultdict(set)
+            for v in range(inst.n):
+                by_sig[repr(inst.sig[v])].add(degree[v])
+            assert all(len(d) == 1 for d in by_sig.values())
+
+    def test_facet_sizes_must_agree(self):
+        # the 3-sets avoiding an edge of C5 keep the edges as their
+        # complement family, the same family as C5's own
+        c5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+        avoiding = [sorted({1, 2, 3, 4, 5} - set(e)) for e in c5]
+        assert _Instance(avoiding).family == _Instance(c5).family
+        assert find_bijection(avoiding, c5) is None
+        assert find_bijection(c5, avoiding) is None
+
+    def test_grid_chain_runs_few_searches(self, searches):
+        chain = _bijections._stabilizer_chain(grid(5, 5).edges)
+        assert math.prod(len(level) for _, level in chain) == 8
+        assert 0 < len(searches) <= 102
 
 
 def generated_group(gens, n: int) -> set:
