@@ -38,8 +38,10 @@ Two routines act on any permutations, not only automorphisms:
 algorithm on image tuples, so the order of a generated group is read off
 a base and strong generating set without listing its elements.
 
-Intended for desk-scale inputs (at most ~16 vertices); callers enforce
-their own guards.
+No size guard is kept here: :mod:`shortlinks.symmetry` refuses more than
+12 vertices, but the metric layer's chain has none (Q6, the Gosset graph
+and C101 take about a second at most).  ``first`` recurses once per
+vertex, so a family near Python's recursion limit raises RecursionError.
 """
 
 from __future__ import annotations
@@ -82,49 +84,43 @@ class _Instance:
                 pair[b][a] += 1
         self.memb = memb
         self.pair = pair
+        self.counts = {pair[a][b] for a, b in itertools.permutations(range(self.n), 2)}
         self.sig = [(m, tuple(sorted(zip(memb, row)))) for m, row in zip(memb, pair)]
 
 
-def _vertex_order(inst: _Instance) -> list:
-    """Order vertices so that family members become fully mapped early."""
-    order = []
-    placed = set()
-    famsets = inst.family
-    while len(order) < inst.n:
-        best, best_key = -1, None
-        for v in range(inst.n):
-            if v in placed:
-                continue
-            completes = sum(1 for f in famsets if v in f and f - placed == {v})
-            key = (completes, inst.memb[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed.add(best)
-    return order
-
-
 class _Search:
-    """Backtracking from src's family onto dst's along ``order``, set up once.
+    """Backtracking from src's family onto dst's, set up once.
 
-    ``cands[v]`` lists the dst vertices whose signature matches src vertex
-    v; :meth:`first` accepts any narrowing of those lists, which is how a
-    stabilizer chain fixes a prefix of the base without a new set-up.
-    Sending v to w needs pair[v][u] = pair[w][img u] for each mapped u.
+    The base ``order`` places, at each step, the unplaced vertex v with the
+    greatest (members it completes, memb[v], -v), read from one count per
+    member of its unplaced vertices; ``trig[d]`` lists, in family order,
+    the members that ``order[d]`` completes.  ``cands[v]`` lists the dst
+    vertices whose signature matches src vertex v; :meth:`first` accepts
+    any narrowing of those lists, which is how a stabilizer chain fixes a
+    prefix of the base without a new set-up.  Sending v to w needs
+    pair[v][u] = pair[w][img u] for each mapped u.
     """
 
-    def __init__(self, src: _Instance, dst: _Instance, order) -> None:
-        n = src.n
-        pos = {v: i for i, v in enumerate(order)}
-        triggers = defaultdict(list)
-        for f in src.family:
-            triggers[max(pos[v] for v in f)].append(sorted(f, key=pos.get))
-        self.trig = [triggers.get(d, ()) for d in range(n)]
-        src_counts = {src.pair[a][b] for a in range(n) for b in range(n) if a != b}
-        dst_counts = {dst.pair[a][b] for a in range(n) for b in range(n) if a != b}
+    def __init__(self, src: _Instance, dst: _Instance) -> None:
+        n, memb, family = src.n, src.memb, src.family
+        member_of = [[] for _ in range(n)]
+        for i, f in enumerate(family):
+            for v in f:
+                member_of[v].append(i)
+        left = [len(f) for f in family]
+        order, trig = [], []
+        unplaced = set(range(n))
+        while unplaced:
+            v = max(unplaced, key=lambda u: (
+                [left[i] for i in member_of[u]].count(1), memb[u], -u))
+            unplaced.remove(v)
+            order.append(v)
+            for i in member_of[v]:
+                left[i] -= 1
+            trig.append([family[i] for i in member_of[v] if not left[i]])
         # one count throughout on both sides: no pair test can fail
-        self.pair_constant = src_counts == dst_counts and len(src_counts) <= 1
-        self.n, self.order, self.src, self.dst = n, order, src, dst
+        self.pair_constant = src.counts == dst.counts and len(src.counts) <= 1
+        self.n, self.order, self.trig, self.src, self.dst = n, order, trig, src, dst
         by_sig = defaultdict(list)
         for w in range(n):
             by_sig[dst.sig[w]].append(w)
@@ -181,7 +177,7 @@ def find_bijection(facets1, facets2):
     src, dst = _Instance(facets1), _Instance(facets2)
     if not _compatible(src, dst):
         return None
-    search = _Search(src, dst, _vertex_order(src))
+    search = _Search(src, dst)
     images = search.first(search.cands)
     if images is None:
         return None
@@ -204,19 +200,18 @@ def _audit(src: _Instance, dst: _Instance, images) -> None:
 def _stabilizer_chain(facets) -> list:
     """Base points and transversals (b_0, T_0), (b_1, T_1), ... of Aut.
 
-    The base is the search's vertex order.  ``T_d`` lists one automorphism
+    The base is the search's ``order``.  ``T_d`` lists one automorphism
     for each image of ``b_d`` under the pointwise stabilizer of
     ``b_0..b_{d-1}``, the identity first; each is an image tuple of
     positions in the sorted vertex list, indexed by position.
     """
     inst = _Instance(facets)
-    order = _vertex_order(inst)
-    search = _Search(inst, inst, order)
+    search = _Search(inst, inst)
     identity = tuple(range(inst.n))
     cands = list(search.cands)
     chain = []
     fixed = 0
-    for v in order:
+    for v in search.order:
         level = [identity]
         for w in search.cands[v]:
             if w == v or fixed >> w & 1:

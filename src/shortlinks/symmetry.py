@@ -171,8 +171,12 @@ def orbits(perms, domain) -> list:
         return _vertex_blocks(perms)
     members = set(norm)
     result = []
-    for orbit in orbit_closure(sorted(members, key=_orbit_sort_key),
-                               [p.apply for p in perms]):
+    try:
+        closure = orbit_closure(sorted(members, key=_orbit_sort_key),
+                                [p.apply for p in perms])
+    except KeyError as exc:
+        raise ValueError(f"vertex {exc} is outside a permutation's domain") from None
+    for orbit in closure:
         outside = [y for y in orbit if y not in members]
         if outside:
             raise ValueError(f"domain is not closed under the permutations: "

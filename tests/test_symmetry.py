@@ -16,18 +16,23 @@ from shortlinks import (
     automorphisms,
     build_kp,
     coxeter_order_bruteforce,
+    complete_minus_cycle,
     complete_minus_matching,
     coxeter_presentation,
+    cube,
     cycle_graph,
+    dual_cuboctahedron,
     enumerate_partitions,
     grid,
     hypercube_graph,
     kp_summary,
     orbits,
     product_dual,
+    skeleton,
+    torus,
 )
 from shortlinks import _bijections
-from shortlinks._bijections import (_compatible, _Instance, _vertex_order,
+from shortlinks._bijections import (_compatible, _Instance, _Search,
                                     automorphism_generators, find_bijection,
                                     permutation_group_order)
 from conftest import read_fixture
@@ -146,6 +151,27 @@ def skeleton_bitmasks(inst, facets) -> list:
     return adj
 
 
+def reference_order(inst) -> list:
+    """The seed's base order: each step rescans every family member for
+    every unplaced vertex, and places the one that completes the most
+    members, then the one in the most members, then the smallest."""
+    order = []
+    placed = set()
+    famsets = inst.family
+    while len(order) < inst.n:
+        best, best_key = -1, None
+        for v in range(inst.n):
+            if v in placed:
+                continue
+            completes = sum(1 for f in famsets if v in f and f - placed == {v})
+            key = (completes, inst.memb[v], -v)
+            if best_key is None or key > best_key:
+                best, best_key = v, key
+        order.append(best)
+        placed.add(best)
+    return order
+
+
 def leaf_walk_images(src, dst, order, src_adj, dst_adj):
     """The seed's full backtracking walk, yielding every valid bijection.
 
@@ -216,7 +242,7 @@ def reference_automorphisms(K) -> list:
     inst = _Instance(K.facets)
     adj = skeleton_bitmasks(inst, K.facets)
     return _sorted_perms(K.vertices,
-                         leaf_walk_images(inst, inst, _vertex_order(inst), adj, adj))
+                         leaf_walk_images(inst, inst, reference_order(inst), adj, adj))
 
 
 def small_kp_and_duals() -> list:
@@ -379,6 +405,45 @@ class TestSignatures:
         assert 0 < len(searches) <= 102
 
 
+def _edges(G) -> list:
+    return sorted(tuple(sorted(e)) for e in G.edges)
+
+
+BASE_ORDER_CASES = {
+    "kp-and-duals": [build(p).facets for m in range(2, 8)
+                     for p in enumerate_partitions(m)
+                     for build in (build_kp, product_dual)],
+    "kp-and-dual-skeletons": [_edges(skeleton(build(p))) for m in range(2, 8)
+                              for p in enumerate_partitions(m)
+                              for build in (build_kp, product_dual)],
+    "complete-minus": [_edges(G) for m in range(4, 10)
+                       for G in [complete_minus_matching(m, h)
+                                 for h in range(m // 2 + 1)]
+                       + [complete_minus_cycle(m, h) for h in range(3, m + 1)]],
+    "quad-skeletons": [_edges(Q.skeleton()) for Q in (
+        grid(2, 4), grid(5, 5), torus(3, 4), torus(4, 4), torus(5, 5),
+        cube(), dual_cuboctahedron())],
+    "random-graphs": [random_graph_edges(random.Random(seed)) for seed in range(80)],
+}
+
+
+class TestBaseOrder:
+    """The one-pass set-up against the seed's rescanning rule."""
+
+    @pytest.mark.parametrize("group", BASE_ORDER_CASES)
+    def test_order_and_triggers_match_the_rescan(self, group):
+        for facets in BASE_ORDER_CASES[group]:
+            inst = _Instance(facets)
+            search = _Search(inst, inst)
+            assert search.order == reference_order(inst)
+            # each member is checked once, at its last vertex, in family order
+            pos = {v: d for d, v in enumerate(search.order)}
+            expected = [[] for _ in range(inst.n)]
+            for f in inst.family:
+                expected[max(map(pos.get, f))].append(f)
+            assert search.trig == expected
+
+
 def generated_group(gens, n: int) -> set:
     """Closure of the image tuples ``gens`` under composition."""
     group = {tuple(range(n))}
@@ -465,6 +530,15 @@ class TestOrbits:
         g = Permutation({1: 2, 2: 1})
         with pytest.raises(ValueError):
             orbits([g], [1])
+
+    def test_elements_outside_a_domain(self):
+        swap12, swap34 = Permutation({1: 2, 2: 1}), Permutation({3: 4, 4: 3})
+        with pytest.raises(ValueError, match="vertex 3 is outside"):
+            orbits([swap12], [3])
+        with pytest.raises(ValueError, match="vertex 1 is outside"):
+            orbits([swap12, swap34], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="vertex 3 is outside"):
+            orbits([swap12], [[1, 3]])
 
     def test_subset_domains_not_closed(self):
         K = build_kp(Partition.from_spec("1|2,3"))
