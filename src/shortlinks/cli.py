@@ -22,6 +22,7 @@ from . import formats
 from ._bijections import automorphism_generators, orbit_closure
 from .errors import FormatError, GuardExceeded
 from .metric import (Graph, cut_cone_decompose, find_scaled_embedding,
+                     hadamard_embedding, identify_complete_minus_matching,
                      is_isometric_cycle, kgonal_violations, partial_cube)
 from .partitions import build_kp, classify, enumerate_partitions, kp_summary
 from .quadrillage import (Quadrillage, embeddable_by_zones, quadrillage_type,
@@ -43,15 +44,6 @@ def skeleton_name(m: int, h: int) -> str:
     if h == 1:
         return f"K{m}-K2"
     return f"K{m}-{h}K2"
-
-
-def identify_complete_minus_matching(G: Graph):
-    """(m, h) if the graph is K_m - hK_2, else None: it is exactly when no
-    vertex misses more than one other, that is, every degree is >= m - 2."""
-    m = G.num_vertices
-    if any(G.degree(v) < m - 2 for v in G.vertices):
-        return None
-    return m, m * (m - 1) // 2 - G.num_edges
 
 
 def _print_report(pairs, tsv: bool, out) -> None:
@@ -164,10 +156,11 @@ def _simplicial_report(K: SimplicialComplex, bound: int):
 def _embeddability_report(G: Graph, bound: int):
     """The four embeddability lines, probed in the order of their certificates.
 
-    A partial-cube labelling is a cut decomposition with unit weights, so
-    the cut-cone LP runs only when there is none.  An L1 metric satisfies
+    A partial-cube labelling is a cut decomposition with unit weights, and
+    the Hadamard addresses of K_m - hK_2 embed it at scale N/2, so the
+    cut-cone LP runs only when there is neither.  An L1 metric satisfies
     every hypermetric inequality, so the k-gonal search runs only when
-    neither proves L1-embeddability.
+    none of the three proves L1-embeddability.
     """
     try:
         labeling = partial_cube(G)
@@ -175,7 +168,7 @@ def _embeddability_report(G: Graph, bound: int):
         labeling, cube = None, f"skipped ({exc})"
     else:
         cube = f"yes (dimension {labeling.dimension})" if labeling else "no"
-    l1 = labeling is not None
+    l1 = labeling is not None or hadamard_embedding(G) is not None
     if l1:
         cone = "feasible (L1-embeddable)"
     else:

@@ -10,7 +10,9 @@ kept on the Graph as one stabilizer chain that both searches read: the LP
 is posed on orbits of cuts and of vertex pairs (an Aut-invariant
 decomposition exists whenever any does), and the k-gonal search visits
 its vectors up to Aut(G).  What they find is expanded to whole orbits and
-audited without using the group.
+audited without using the group.  K_m - hK_2, which every K(P) skeleton
+is, needs neither: :func:`hadamard_embedding` gives it addresses from the
+rows of a Sylvester-Hadamard matrix and their complements.
 
 Every certificate has one audit: its addresses, packed as ints with the
 first coordinate in the top bit, must differ in scale * distance bits.  A
@@ -21,6 +23,7 @@ separations.  Public results give addresses as 0/1 tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -143,6 +146,15 @@ def _automorphism_chain(G: Graph) -> list:
     return G._chain
 
 
+def identify_complete_minus_matching(G: Graph):
+    """(m, h) if the graph is K_m - hK_2, else None: it is exactly when no
+    vertex misses more than one other, that is, every degree is >= m - 2."""
+    m = G.num_vertices
+    if any(G.degree(v) < m - 2 for v in G.vertices):
+        return None
+    return m, m * (m - 1) // 2 - G.num_edges
+
+
 def complete_graph(m: int) -> Graph:
     """K_m on vertices 1..m."""
     if m < 1:
@@ -225,6 +237,17 @@ class GonalVector:
         return total
 
 
+@functools.cache
+def _kgonal_moves(budget: int) -> list:
+    """moves[left][total]: the (c, total + c, left - |c|) that leave budget
+    for at least one more nonzero coefficient and for reaching a sum of 1"""
+    return [{total: [(c, total + c, left - abs(c))
+                     for c in range(1 - left, left)
+                     if c and abs(1 - total - c) <= left - abs(c)]
+             for total in range(-budget, budget + 1)}
+            for left in range(budget + 1)]
+
+
 def kgonal_violations(G: Graph, bound: int = 3) -> list:
     """All violated k-gonal inequalities with sum |b_i| <= 2*bound + 1.
 
@@ -266,13 +289,7 @@ def kgonal_violations(G: Graph, bound: int = 3) -> list:
     # scaled[p][c][q - p - 1] = c * d(b_p, b_q) for the base indices q > p
     scaled = [{c: [c * dist[b][q] for q in order[p + 1:]]
                for c in range(-budget, budget + 1) if c} for p, b in enumerate(order)]
-    # moves[left][total]: the (c, total + c, left - |c|) that leave budget
-    # for at least one more nonzero coefficient and for reaching a sum of 1
-    moves = [{total: [(c, total + c, left - abs(c))
-                      for c in range(1 - left, left)
-                      if c and abs(1 - total - c) <= left - abs(c)]
-              for total in range(-budget, budget + 1)}
-             for left in range(budget + 1)]
+    moves = _kgonal_moves(budget)
     found, vec = [], [0] * n  # found by vertex position, vec by base index
 
     def allowed(q: int, options) -> list:
@@ -400,6 +417,39 @@ def partial_cube(G: Graph):
         return None
     return PartialCubeLabeling(dimension=len(classes),
                                address=_unpack(G.vertices, masks, len(classes)))
+
+
+def hadamard_embedding(G: Graph):
+    """(scale, addresses) of K_m - hK_2 in the N-cube at scale N/2, or None
+    when G has fewer than 3 vertices or is not K_m - hK_2.
+
+    Each missing edge is one pair and each vertex of full degree is one
+    pair, numbered in vertex order; N is the least power of two >= the
+    number k = m - h of pairs.  Pair i gets row i of the Sylvester-Hadamard
+    matrix of order N, whose coordinate j is the parity of popcount(i & j),
+    and the other end of a missing edge gets its complement.  Two distinct
+    rows differ in N/2 coordinates and a row and its complement in N, so
+    the Hamming distances are N/2 times the path-metric (Deza & Laurent
+    1997); the addresses are audited against it all the same.
+    """
+    ident = identify_complete_minus_matching(G)
+    if G.num_vertices < 3 or ident is None:
+        return None
+    m, h = ident
+    dim = 1 << (m - h - 1).bit_length()
+    masks, pairs = [None] * m, 0
+    for i, v in enumerate(G.vertices):
+        if masks[i] is None:
+            masks[i] = sum(((pairs & j).bit_count() & 1) << (dim - 1 - j)
+                           for j in range(dim))
+            pairs += 1
+            if G.degree(v) < m - 1:
+                u = next(u for u in G.vertices if u != v and not G.has_edge(v, u))
+                masks[G._index[u]] = masks[i] ^ ((1 << dim) - 1)
+    scale = dim // 2
+    if not _is_scaled_embedding(masks, scale, G._distance_rows()):
+        raise AssertionError("Hadamard embedding failed its audit")
+    return scale, _unpack(G.vertices, masks, dim)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from shortlinks import (Graph, Partition, cli, complete_minus_cycle,
+from shortlinks import (Graph, Partition, build_kp, cli, complete_minus_cycle,
                         complete_minus_matching, formats, grid, kp_summary,
                         quadrillage, symmetry)
 from shortlinks.cli import _verify_row, main, skeleton_name
@@ -303,6 +303,39 @@ class TestCertificateOrder:
         assert code == 0 and err == ""
         assert report_lines(out)["partial cube"] == "no"
         assert report_lines(out)["hypermetric (bound 3)"] == "ok"
+
+    def test_complete_minus_matchings_skip_the_lp(self, capsys, monkeypatch):
+        class LpCalled(Exception):
+            pass
+
+        def refuse(G):
+            raise LpCalled
+        monkeypatch.setattr(cli, "cut_cone_decompose", refuse)
+        for argv in (["analyze", str(FIXTURES / "kp_1_23.txt")],
+                     ["embed", str(FIXTURES / "k5_k2.txt"), "--graph"],
+                     ["embed", str(FIXTURES / "k6_3k2.txt"), "--graph"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            assert report_lines(out)["cut cone"] == "feasible (L1-embeddable)"
+        # K7 - C5 is not K_m - hK_2, so the LP still decides it
+        with pytest.raises(LpCalled):
+            main(["embed", str(FIXTURES / "k7_c5.txt"), "--graph"])
+
+    def test_complete_minus_matching_past_the_cut_cone_guard(self, capsys, tmp_path):
+        f = tmp_path / "kp7.txt"
+        f.write_text(formats.serialize_complex(
+            build_kp(Partition.from_spec("1|2|3|4|5|6|7"))))
+        code, out, err = run_cli(capsys, "analyze", str(f))
+        assert code == 0 and err == ""
+        report = report_lines(out)
+        assert report["skeleton"] == "14 vertices, 84 edges (K14-7K2)"
+        assert report["cut cone"] == "feasible (L1-embeddable)"
+        assert report["5-gonal"] == report["hypermetric (bound 3)"] == "ok"
+
+    @pytest.mark.parametrize("name", ["c15.embed.txt", "c15.embed_bound2.txt"])
+    def test_other_graphs_past_the_guard_are_skipped(self, name):
+        # the golden runs check the whole output; this names the line
+        assert "cut cone: skipped (vertex guard)\n" in golden(name)
 
     @pytest.mark.parametrize("bound", ["1", "0", "x"])
     def test_hypermetric_bound_below_two_is_an_input_error(self, capsys, bound):

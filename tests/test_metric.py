@@ -543,6 +543,61 @@ class TestCutConeAgainstReference:
             cut_cone_decompose(complete_minus_matching(6, 1))
 
 
+def relabelled(G: Graph, rng: random.Random) -> Graph:
+    """G on shuffled labels drawn from a wider range."""
+    n = G.num_vertices
+    label = dict(zip(G.vertices, rng.sample(range(1, 4 * n), n)))
+    return Graph(label.values(), [(label[u], label[v]) for u, v in G.edges])
+
+
+def assert_hadamard_audited(G: Graph, m: int, h: int) -> None:
+    found = metric.hadamard_embedding(G)
+    assert found is not None, (m, h)
+    scale, address = found
+    dim = 1 << (m - h - 1).bit_length()  # the least power of two >= m - h
+    assert scale == dim // 2
+    assert sorted(address) == list(G.vertices)
+    assert {len(a) for a in address.values()} == {dim}
+    for u, v in itertools.combinations(G.vertices, 2):
+        ham = sum(a != b for a, b in zip(address[u], address[v]))
+        assert ham == scale * G.distance(u, v), (m, h, u, v)
+
+
+class TestHadamardEmbedding:
+    @pytest.mark.parametrize("m", range(3, 33))
+    def test_complete_minus_matchings_and_relabelled_copies(self, m):
+        rng = random.Random(m)
+        for h in range(m // 2 + 1):
+            G = complete_minus_matching(m, h)
+            assert_hadamard_audited(G, m, h)
+            assert_hadamard_audited(relabelled(G, rng), m, h)
+
+    def test_other_graphs_are_declined(self):
+        declined = [complete_minus_cycle(m, h) for m in range(3, 12)
+                    for h in range(3, m + 1)]
+        declined += [k5_minus_triangle(), cycle_graph(5), hypercube_graph(3),
+                     complete_bipartite(3, 3), Graph([1], []),
+                     Graph([1, 2], []), Graph([1, 2], [(1, 2)])]
+        for G in declined:
+            assert metric.hadamard_embedding(G) is None, G
+
+    def test_accepted_graphs_are_in_the_cut_cone(self):
+        graphs = [*FAMILIES.values(), *SMALL_RANDOM_GRAPHS,
+                  *(complete_minus_matching(10, h) for h in range(6))]
+        accepted = [G for G in graphs if metric.hadamard_embedding(G) is not None]
+        assert len(accepted) == sum(
+            metric.identify_complete_minus_matching(G) is not None
+            and G.num_vertices >= 3 for G in graphs) >= 32
+        for G in accepted:
+            assert G.num_vertices <= 10
+            assert cut_cone_decompose(G) is not None
+
+    def test_audit_rejects_the_addresses(self, monkeypatch):
+        monkeypatch.setattr(metric, "_is_scaled_embedding", lambda *args: False)
+        with pytest.raises(AssertionError, match="audit"):
+            metric.hadamard_embedding(complete_minus_matching(6, 1))
+
+
 def is_two_colourable(G: Graph) -> bool:
     """Colour each component from its first vertex, alternating along edges."""
     adj, colour = adjacency(G), {}
