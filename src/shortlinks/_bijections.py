@@ -16,19 +16,21 @@ facet families.
 
 The automorphism group is never enumerated leaf by leaf.  With the
 search's vertex order as base b_0, b_1, ..., let G_d be the subgroup
-fixing b_0..b_{d-1} pointwise.  For each signature-compatible w, one
-first-solution search with b_0..b_{d-1} fixed and b_d sent to w decides
-whether w lies in the orbit of b_d under G_d; the bijection it finds is
-the transversal element T_d[w] (Sims 1970; Seress, *Permutation Group
-Algorithms*, 2003, ch. 4).  By orbit-stabilizer, |Aut| = prod |T_d|, and
+fixing b_0..b_{d-1} pointwise.  The levels are built from the deepest up
+(Sims 1970; Seress, *Permutation Group Algorithms*, 2003, ch. 4).  At
+level d, a first-solution search with b_0..b_{d-1} fixed and b_d sent to
+w runs only for the w that the generators found so far do not reach from
+b_d.  Each bijection it finds is a generator in S_d, and the other points
+of the basic orbit get products of generators along its breadth-first
+tree: the transversal T_d.  By orbit-stabilizer, |Aut| = prod |T_d|, and
 every automorphism is exactly one product t_0 t_1 ... with t_d in T_d.
 The chain is built once per facet family by :func:`_stabilizer_chain`
 and handed to the routines that read it, so a caller keeping it (as
 :mod:`shortlinks.symmetry` does, once per complex) never builds it
 twice.  :func:`all_automorphism_images` forms each product in C: one
 ``operator.itemgetter`` per stabilizer element, applied to each
-transversal element.  The non-identity transversal elements generate
-Aut; :func:`automorphism_generators` keeps the ones each level needs.
+transversal element.  The S_d generate Aut, and
+:func:`automorphism_generators` reads them off the chain.
 The metric layer keeps one chain per graph (its edges as 2-sets) and
 reads it in the cut-cone LP and in the k-gonal search.
 
@@ -39,9 +41,9 @@ algorithm on image tuples, so the order of a generated group is read off
 a base and strong generating set without listing its elements.
 
 No size guard is kept here: :mod:`shortlinks.symmetry` refuses more than
-12 vertices, but the metric layer's chain has none (Q6, the Gosset graph
-and C101 take about a second at most).  ``first`` recurses once per
-vertex, so a family near Python's recursion limit raises RecursionError.
+12 vertices, but the metric layer's chain has none (on a 2-vCPU x86 host,
+Q6 and the Gosset graph take 0.1 s, C101 0.3 s).  ``first`` recurses once
+per vertex, so a family near Python's recursion limit raises RecursionError.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class _Instance:
                 pair[b][a] += 1
         self.memb = memb
         self.pair = pair
-        self.counts = {pair[a][b] for a, b in itertools.permutations(range(self.n), 2)}
         self.sig = [(m, tuple(sorted(zip(memb, row)))) for m, row in zip(memb, pair)]
 
 
@@ -118,8 +119,6 @@ class _Search:
             for i in member_of[v]:
                 left[i] -= 1
             trig.append([family[i] for i in member_of[v] if not left[i]])
-        # one count throughout on both sides: no pair test can fail
-        self.pair_constant = src.counts == dst.counts and len(src.counts) <= 1
         self.n, self.order, self.trig, self.src, self.dst = n, order, trig, src, dst
         by_sig = defaultdict(list)
         for w in range(n):
@@ -131,7 +130,6 @@ class _Search:
         with every image drawn from ``cands``, or None."""
         n, order, trig = self.n, self.order, self.trig
         src_pair, dst_pair = self.src.pair, self.dst.pair
-        pair_constant = self.pair_constant
         dst_masks = self.dst.fam_masks
         img = [-1] * n
 
@@ -140,7 +138,7 @@ class _Search:
                 return True
             v = order[depth]
             pv = src_pair[v]
-            mapped = () if pair_constant else order[:depth]
+            mapped = order[:depth]
             for w in cands[v]:
                 bit = 1 << w
                 if used & bit:
@@ -198,54 +196,54 @@ def _audit(src: _Instance, dst: _Instance, images) -> None:
 
 
 def _stabilizer_chain(facets) -> list:
-    """Base points and transversals (b_0, T_0), (b_1, T_1), ... of Aut.
+    """Levels (b_0, T_0, S_0), (b_1, T_1, S_1), ... of Aut, built deepest first.
 
-    The base is the search's ``order``.  ``T_d`` lists one automorphism
-    for each image of ``b_d`` under the pointwise stabilizer of
-    ``b_0..b_{d-1}``, the identity first; each is an image tuple of
-    positions in the sorted vertex list, indexed by position.
+    The base is the search's ``order``.  ``S_d`` lists the generators the
+    searches of level d found.  ``T_d`` lists one automorphism for each
+    image of ``b_d`` under the pointwise stabilizer of ``b_0..b_{d-1}``,
+    the identity first; each is an image tuple of positions in the sorted
+    vertex list, indexed by position.
     """
     inst = _Instance(facets)
     search = _Search(inst, inst)
-    identity = tuple(range(inst.n))
-    cands = list(search.cands)
-    chain = []
-    fixed = 0
-    for v in search.order:
-        level = [identity]
+    order = search.order
+    rank = {v: d for d, v in enumerate(order)}
+    cands = [(v,) for v in range(inst.n)]
+    gens, chain = [], []
+    for d in reversed(range(inst.n)):
+        v, start = order[d], len(gens)
+        reps = {v: tuple(range(inst.n))}  # orbit point -> transversal element
         for w in search.cands[v]:
-            if w == v or fixed >> w & 1:
+            if w in reps or rank[w] < d:  # reached, or a fixed base point
                 continue
             cands[v] = (w,)
             images = search.first(cands)
-            if images is not None:
-                _audit(inst, inst, images)
-                level.append(images)
-        cands[v] = (v,)
-        fixed |= 1 << v
-        chain.append((v, level))
+            if images is None:
+                continue
+            _audit(inst, inst, images)
+            gens.append(images)
+            todo = list(reps)  # regrow the orbit breadth first
+            for x in todo:
+                for s in gens:
+                    y = s[x]
+                    if y not in reps:
+                        reps[y] = _then(reps[x], s)
+                        todo.append(y)
+        cands[v] = search.cands[v]
+        chain.append((v, list(reps.values()), gens[start:]))
+    chain.reverse()
     return chain
 
 
 def automorphism_generators(chain) -> list:
-    """Transversal elements of ``chain`` that generate Aut, as image
-    tuples; no identity.
+    """The generators on ``chain``, deepest level first, as image tuples.
 
-    Levels are read from the deepest up.  An element of ``T_d`` is kept
-    only when it sends b_d outside the orbit of b_d under the elements
-    kept so far, which :func:`orbit_closure` regrows after each one kept.
-    The kept elements then generate a subgroup of G_d whose orbit of b_d
-    is the whole basic orbit and whose stabilizer of b_d contains G_{d+1},
-    so by orbit-stabilizer they generate G_d itself.
+    Each sends b_d outside the orbit of b_d under the ones before it.
+    The generators of levels d and below then generate a subgroup of G_d
+    whose orbit of b_d is the whole basic orbit and whose stabilizer of
+    b_d contains G_{d+1}, so by orbit-stabilizer they generate G_d itself.
     """
-    gens = []
-    for base, level in reversed(chain):
-        orbit = {base}
-        for t in level[1:]:
-            if t[base] not in orbit:
-                gens.append(t)
-                orbit = set(orbit_closure([base], [g.__getitem__ for g in gens])[0])
-    return gens
+    return [g for _, _, level_gens in reversed(chain) for g in level_gens]
 
 
 def all_automorphism_images(chain, labels):
@@ -260,7 +258,7 @@ def all_automorphism_images(chain, labels):
     element h.  A facet family has at least 2 vertices, so every getter
     takes at least 2 indices and returns a tuple, not a single entry.
     """
-    levels = [level for _, level in chain]
+    levels = [level for _, level, _ in chain]
     stabilizer = [levels[0][0]]  # the identity
     for level in reversed(levels[1:]):
         if len(level) > 1:

@@ -141,7 +141,7 @@ def _automorphism_chain(G: Graph) -> list:
     if G._chain is None:
         if not G.is_connected():
             raise ValueError(_DISCONNECTED)
-        chain = _stabilizer_chain(G.edges) if G.edges else [(0, [(0,)])]
+        chain = _stabilizer_chain(G.edges) if G.edges else [(0, [(0,)], [])]
         object.__setattr__(G, "_chain", chain)
     return G._chain
 
@@ -279,11 +279,11 @@ def kgonal_violations(G: Graph, bound: int = 3) -> list:
     budget = 2 * bound + 1
     dist = G._distance_rows()
     chain = _automorphism_chain(G)
-    order = [b for b, _ in chain]  # the vertex position at each base index
+    order = [b for b, _, _ in chain]  # the vertex position at each base index
     n = len(order)
     rank = {b: d for d, b in enumerate(order)}
     above = [[] for _ in range(n)]  # the d < q whose basic orbit holds b_q
-    for d, (b, level) in enumerate(chain):
+    for d, (b, level, _) in enumerate(chain):
         for t in level[1:]:
             above[rank[t[b]]].append(d)
     # scaled[p][c][q - p - 1] = c * d(b_p, b_q) for the base indices q > p

@@ -1,22 +1,22 @@
 """Symmetry groups and isomorphisms of small complexes, found by search.
 
-Aut(K) is built as a stabilizer chain: along a base of vertices, one
-first-solution backtracking search per candidate image decides each
-basic orbit and supplies its transversal element.  The chain is built
-once per complex and kept on it (:func:`stabilizer_chain`), and
-|Aut|, the automorphisms and the CLI's table check all read that one
-chain.  |Aut| is the product of the transversal sizes, and the
-automorphisms are the products of one element per transversal, each
-formed in C by an ``operator.itemgetter``, so neither needs a walk over
-every group element.  A :class:`Permutation` is its tuple of images;
-the permutations of one :func:`automorphisms` call share a single
-vertex-to-position index, and a mapping dict is built only on request.
-Isomorphisms come from the same search stopped at its first solution,
-with no help from the classifier whose answers they are used to check.
-Orbits are computed from generator applications: on the vertex set the
-orbits are merged as blocks, a permutation that keeps every block in
-place costs one comparison, and the merging stops at the first single
-block.
+Aut(K) is built as a stabilizer chain, deepest level first: one
+first-solution backtracking search per candidate image that the
+generators so far do not reach supplies a generator, and their products
+fill each transversal.  The chain is built once per complex and kept on
+it (:func:`stabilizer_chain`), and |Aut|, the automorphisms and the
+CLI's table check all read that one chain.  |Aut| is the product of the
+transversal sizes, and the automorphisms are the products of one element
+per transversal, each formed in C by an ``operator.itemgetter``, so
+neither needs a walk over every group element.  A :class:`Permutation`
+is its tuple of images; the permutations of one :func:`automorphisms`
+call share a single vertex-to-position index, and a mapping dict is
+built only on request.  Isomorphisms come from the same search stopped
+at its first solution, with no help from the classifier whose answers
+they are used to check.  Orbits are computed from generator
+applications: on the vertex set the orbits are merged as blocks, a
+permutation that keeps every block in place costs one comparison, and
+the merging stops at the first single block.
 The reflection group Cox(K) attached to a partition is realized on a
 small permutation domain by transpositions, and its order is computed by
 the Schreier–Sims algorithm from those generators alone, so the
@@ -103,10 +103,10 @@ class Permutation:
 def stabilizer_chain(K: SimplicialComplex) -> list:
     """The stabilizer chain of Aut(K), built on first use and kept on ``K``.
 
-    Levels are ``(b_d, T_d)`` as made by :mod:`shortlinks._bijections`:
-    base points and transversal image tuples, on positions in
-    ``K.vertices``.  Complexes above the vertex guard raise
-    :class:`GuardExceeded` before any search.
+    Levels are ``(b_d, T_d, S_d)`` as made by :mod:`shortlinks._bijections`:
+    base points, transversal image tuples and the generators found at
+    that level, on positions in ``K.vertices``.  Complexes above the
+    vertex guard raise :class:`GuardExceeded` before any search.
     """
     if len(K.vertices) > AUTOMORPHISM_VERTEX_GUARD:
         raise GuardExceeded(
@@ -130,10 +130,10 @@ def automorphism_count(K: SimplicialComplex) -> int:
 
     The order is the product of the transversal sizes; no group element
     beyond the transversals is built, so the cost is at most one
-    first-solution search per base point and candidate image, whatever
-    the group order, paid once per complex.
+    first-solution search per base point and candidate image not already
+    reached, whatever the group order, paid once per complex.
     """
-    return math.prod(len(level) for _, level in stabilizer_chain(K))
+    return math.prod(len(level) for _, level, _ in stabilizer_chain(K))
 
 
 def are_isomorphic(K1: SimplicialComplex, K2: SimplicialComplex):

@@ -73,6 +73,14 @@ class TestTable:
         golden = (FIXTURES / "table_dim4.tsv").read_text(encoding="utf-8")
         assert out == golden
 
+    def test_golden_dim6(self, capsys):
+        # the verified column reads every chain's generators; two rows
+        # stay "-" past the 12-vertex guard
+        code, out, _ = run_cli(capsys, "table", "--max-dim", "6")
+        assert code == 0
+        golden = (FIXTURES / "table_dim6.tsv").read_text(encoding="utf-8")
+        assert out == golden
+
     def test_dim2_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-dim", "2")
         assert code == 0

@@ -303,7 +303,7 @@ def with_trivial_chain(G: Graph) -> Graph:
     the k-gonal search runs without the group."""
     H = Graph(G.vertices, G.edges)
     identity = tuple(range(H.num_vertices))
-    object.__setattr__(H, "_chain", [(i, [identity]) for i in range(H.num_vertices)])
+    object.__setattr__(H, "_chain", [(i, [identity], []) for i in range(H.num_vertices)])
     return H
 
 
@@ -328,7 +328,7 @@ class TestKgonalUpToAutomorphisms:
     @pytest.mark.parametrize("name", SYMMETRIC_GRAPHS)
     def test_equals_the_search_without_the_group(self, name):
         G, bound = SYMMETRIC_GRAPHS[name]
-        assert any(len(level) > 1 for _, level in metric._automorphism_chain(G))
+        assert any(len(level) > 1 for _, level, _ in metric._automorphism_chain(G))
         found = kgonal_violations(G, bound)
         assert found == kgonal_violations(with_trivial_chain(G), bound)
         if G.num_vertices <= 8:

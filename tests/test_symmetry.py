@@ -32,9 +32,9 @@ from shortlinks import (
     torus,
 )
 from shortlinks import _bijections
-from shortlinks._bijections import (_compatible, _Instance, _Search,
+from shortlinks._bijections import (_audit, _compatible, _Instance, _Search,
                                     automorphism_generators, find_bijection,
-                                    permutation_group_order)
+                                    orbit_closure, permutation_group_order)
 from conftest import read_fixture
 from shortlinks.formats import parse_complex
 from shortlinks.symmetry import stabilizer_chain
@@ -401,8 +401,18 @@ class TestSignatures:
 
     def test_grid_chain_runs_few_searches(self, searches):
         chain = _bijections._stabilizer_chain(grid(5, 5).edges)
-        assert math.prod(len(level) for _, level in chain) == 8
-        assert 0 < len(searches) <= 102
+        assert math.prod(len(level) for _, level, _ in chain) == 8
+        assert 0 < len(searches) <= 100
+
+    def test_simplex_boundary_chain_runs_one_search_per_level(self, searches):
+        # Aut is S_8: each level needs one element the deeper ones lack
+        K = build_kp(Partition.from_spec("1,2,3,4,5,6,7"))
+        _bijections._stabilizer_chain(K.facets)
+        assert len(searches) == 7
+
+    def test_cross_polytope_chain_skips_reached_images(self, searches):
+        _bijections._stabilizer_chain(build_kp(Partition.from_spec("1|2|3|4")).facets)
+        assert 0 < len(searches) <= 16
 
 
 def _edges(G) -> list:
@@ -479,17 +489,79 @@ class TestGenerators:
             assert {frozenset(g[inst.idx[v]] for v in f) for f in facets} == \
                 {frozenset(inst.idx[v] for v in f) for f in facets}
         assert len(generated_group(gens, inst.n)) == math.prod(
-            len(level) for _, level in chain)
+            len(level) for _, level, _ in chain)
 
     def test_fewer_than_the_transversal_elements(self):
         facets = build_kp(Partition.from_spec("1|2|3|4")).facets
         chain = _bijections._stabilizer_chain(facets)
         assert len(automorphism_generators(chain)) < sum(
-            len(level) - 1 for _, level in chain)
+            len(level) - 1 for _, level, _ in chain)
 
     def test_one_facet_complex(self):
         # the complement of the only facet is empty; the facet family is used
         assert automorphism_count(SimplicialComplex(2, [(1, 2, 3)])) == 6
+
+
+def top_down_chain(facets) -> list:
+    """Levels (b_d, T_d) built from the top: one first-solution search for
+    every candidate image of every base point, b_0..b_{d-1} fixed."""
+    inst = _Instance(facets)
+    search = _Search(inst, inst)
+    cands = list(search.cands)
+    chain = []
+    for d, v in enumerate(search.order):
+        level = [tuple(range(inst.n))]
+        for w in search.cands[v]:
+            if w != v and w not in search.order[:d]:
+                cands[v] = (w,)
+                images = search.first(cands)
+                if images is not None:
+                    level.append(images)
+        cands[v] = (v,)
+        chain.append((v, level))
+    return chain
+
+
+def greedy_generators(chain) -> list:
+    """Elements of a top-down chain, deepest level first, each kept when it
+    sends b_d outside the orbit regrown from the ones kept before it."""
+    gens = []
+    for base, level in reversed(chain):
+        orbit = {base}
+        for t in level[1:]:
+            if t[base] not in orbit:
+                gens.append(t)
+                orbit = set(orbit_closure([base], [g.__getitem__ for g in gens])[0])
+    return gens
+
+
+CHAIN_FAMILIES = dict(BASE_ORDER_CASES,
+                      generator_cases=[facets for _, facets in GENERATOR_CASES])
+
+
+class TestChainLevels:
+    """The deepest-first builder against a top-down one, level by level."""
+
+    @pytest.mark.parametrize("group", CHAIN_FAMILIES)
+    def test_same_generators_orbits_and_transversal_sizes(self, group):
+        for facets in CHAIN_FAMILIES[group]:
+            chain = _bijections._stabilizer_chain(facets)
+            expected = top_down_chain(facets)
+            assert automorphism_generators(chain) == greedy_generators(expected)
+            assert [(b, {t[b] for t in T}, len(T)) for b, T, _ in chain] == \
+                [(b, {t[b] for t in T}, len(T)) for b, T in expected]
+
+    @pytest.mark.parametrize("group", CHAIN_FAMILIES)
+    def test_every_transversal_element_passes_the_audit(self, group):
+        for facets in CHAIN_FAMILIES[group]:
+            inst = _Instance(facets)
+            chain = _bijections._stabilizer_chain(facets)
+            for d, (b, T, _) in enumerate(chain):
+                assert T[0] == tuple(range(inst.n))
+                assert len({t[b] for t in T}) == len(T)
+                for t in T:
+                    _audit(inst, inst, t)
+                    assert all(t[u] == u for u, _, _ in chain[:d])
 
 
 def closure_orbits(perms, domain) -> list:
