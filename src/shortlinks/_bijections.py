@@ -20,10 +20,12 @@ fixing b_0..b_{d-1} pointwise.  The levels are built from the deepest up
 (Sims 1970; Seress, *Permutation Group Algorithms*, 2003, ch. 4).  At
 level d, a first-solution search with b_0..b_{d-1} fixed and b_d sent to
 w runs only for the w that the generators found so far do not reach from
-b_d.  Each bijection it finds is a generator in S_d, and the other points
-of the basic orbit get products of generators along its breadth-first
-tree: the transversal T_d.  By orbit-stabilizer, |Aut| = prod |T_d|, and
-every automorphism is exactly one product t_0 t_1 ... with t_d in T_d.
+b_d and that share b_d's co-family counts with b_0..b_{d-1} (the search
+would reject any other w at depth d).  Each bijection it finds is a
+generator in S_d, and the other points of the basic orbit get products
+of generators along its breadth-first tree: the transversal T_d.  By
+orbit-stabilizer, |Aut| = prod |T_d|, and every automorphism is exactly
+one product t_0 t_1 ... with t_d in T_d.
 The chain is built once per facet family by :func:`_stabilizer_chain`
 and handed to the routines that read it, so a caller keeping it (as
 :mod:`shortlinks.symmetry` does, once per complex) never builds it
@@ -42,8 +44,9 @@ a base and strong generating set without listing its elements.
 
 No size guard is kept here: :mod:`shortlinks.symmetry` refuses more than
 12 vertices, but the metric layer's chain has none (on a 2-vCPU x86 host,
-Q6 and the Gosset graph take 0.1 s, C101 0.3 s).  ``first`` recurses once
-per vertex, so a family near Python's recursion limit raises RecursionError.
+Q6, the Gosset graph and C101 each take under 0.03 s).  ``first`` recurses
+once per vertex, so a family near Python's recursion limit raises
+RecursionError.
 """
 
 from __future__ import annotations
@@ -208,13 +211,16 @@ def _stabilizer_chain(facets) -> list:
     search = _Search(inst, inst)
     order = search.order
     rank = {v: d for d, v in enumerate(order)}
+    rows = [tuple(row[u] for u in order) for row in inst.pair]  # in base order
     cands = [(v,) for v in range(inst.n)]
     gens, chain = [], []
     for d in reversed(range(inst.n)):
         v, start = order[d], len(gens)
         reps = {v: tuple(range(inst.n))}  # orbit point -> transversal element
+        prefix = rows[v][:d]
         for w in search.cands[v]:
-            if w in reps or rank[w] < d:  # reached, or a fixed base point
+            # reached, a fixed base point, or rejected by the search at depth d
+            if w in reps or rank[w] < d or rows[w][:d] != prefix:
                 continue
             cands[v] = (w,)
             images = search.first(cands)

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .simplicial import (Partition, SimplicialComplex, _clique_parts, _link_cycles,
-                         _link_sizes, characteristic_partition, complex_type,
-                         is_closed_pseudomanifold)
+from .simplicial import (Partition, SimplicialComplex, characteristic_partition,
+                         complex_type, is_closed_pseudomanifold)
 
 
 @dataclass(frozen=True)
@@ -102,10 +100,10 @@ def classify(K: SimplicialComplex) -> Partition:
     """Recover the partition P with K isomorphic to K(P).
 
     The characteristic partition of the first facet in sorted order gives
-    the part sizes, which one sweep of the face table checks on every
-    other facet (:func:`_failing_facets`); the first facet in sorted order
-    that fails names the error.  Global vertex and facet counts are
-    checked against the closed forms.  The returned partition is the
+    the part sizes; K is K(P) when its facets are the join of one simplex
+    boundary per part on blocks of those sizes plus one (:func:`_join_blocks`).
+    Otherwise the first other facet in sorted order that fails, or else the
+    vertex and facet counts, name the error.  The returned partition is the
     canonical one on {1..n+1} with those part sizes.
     """
     verdict = is_closed_pseudomanifold(K)
@@ -115,50 +113,46 @@ def classify(K: SimplicialComplex) -> Partition:
     if not ty <= {3, 4}:
         raise ValueError(f"complex type is {sorted(ty)}, not within {{3, 4}}")
     sizes = characteristic_partition(K, min(K.facets, key=sorted)).sizes
-    failing = _failing_facets(K, sizes)
-    if failing:
+    blocks = _join_blocks(K)
+    if blocks is not None and sorted(len(b) - 1 for b in blocks) == list(sizes):
+        return _canonical_partition(sizes)
+    for facet in sorted(K.facets, key=sorted)[1:]:
         # raises the facet's own error if it has no characteristic partition
-        characteristic_partition(K, min(map(K._face, failing), key=sorted))
-        raise ValueError(
-            "not of the K(P) form: facets disagree on the characteristic "
-            "partition")
-    canonical = _canonical_partition(sizes)
-    expected = kp_summary(canonical)
+        if characteristic_partition(K, facet).sizes != sizes:
+            raise ValueError(
+                "not of the K(P) form: facets disagree on the characteristic "
+                "partition")
+    expected = kp_summary(_canonical_partition(sizes))
     if (len(K.vertices) != expected.skeleton_m
             or K.num_facets != expected.facet_count):
         raise ValueError(
             "not of the K(P) form: vertex or facet count does not match its "
             "characteristic partition")
-    return canonical
+    raise ValueError(
+        "not of the K(P) form: its facets are not the join of one simplex "
+        "boundary per part")
 
 
-def _failing_facets(K: SimplicialComplex, sizes) -> set:
-    """Masks of the facets of the closed, type-{3, 4} ``K`` with no
-    characteristic partition or one of other part sizes.  A link of several
-    cycles leaves its facets none, except for ``dim == 1``."""
-    pairs, failing = defaultdict(list), set()  # facet mask -> triangle pairs
-    for mask, edges in K._face_table().items():
-        link = _link_sizes(K, mask)
-        if link == (3,):
-            for e in edges:
-                pairs[mask | e].append(e)
-        elif len(link) > 1 and K.dim > 1:
-            failing.update(mask | e for e in edges)
-        elif len(link) > 1:  # dim 1: mask is 0, each facet an edge of a cycle
-            for cycle in _link_cycles(edges):
-                if len(cycle) == 3:
-                    for a, b in itertools.combinations(cycle, 2):
-                        pairs[a | b].append(a | b)
-    if sizes[-1] > 1 and len(pairs) < K.num_facets:  # a facet with no pair
-        failing.update({sum(map(K._bit.get, f)) for f in K.facets}.difference(pairs))
-    want = list(sizes)
-    for facet, es in pairs.items():
-        try:
-            if sorted(map(int.bit_count, _clique_parts(facet, es))) != want:
-                failing.add(facet)
-        except ValueError:
-            failing.add(facet)
-    return failing
+def _join_blocks(K: SimplicialComplex):
+    """The blocks B_j when the facets of ``K`` are the join of the boundaries
+    of the simplices on them, otherwise None.
+
+    v's block is v and every vertex that no facet misses along with v, so a
+    facet's missing set c meets it only in v for each v in c.  Disjoint
+    blocks as many as |c| make each c one vertex per block, and as many
+    facets as such choices make them all: K(P) with parts |B_j| - 1.  The
+    join's own blocks, of two or more vertices each, are found exactly.
+    """
+    every = frozenset(K.vertices)
+    beside = {v: set() for v in every}
+    for facet in K.facets:
+        missing = every - facet
+        for v in missing:
+            beside[v] |= missing
+    blocks = {every - near | {v} for v, near in beside.items()}
+    return blocks if (sum(map(len, blocks)) == len(every)
+                      and len(blocks) == len(every) - K.dim - 1
+                      and K.num_facets == math.prod(map(len, blocks))) else None
 
 
 def _canonical_partition(sizes) -> Partition:

@@ -9,9 +9,7 @@ and classification need only cycle lengths: a cycle has at least 3 edges,
 so a 2-regular link of fewer than 6 edges is one cycle, and only longer
 links are walked.  A complex whose links all have length 3 or 4 induces
 a partition of each facet's vertices (its characteristic partition): the
-cliques of its triangle-linked vertex pairs.  :func:`_clique_parts` is
-that rule, for one facet here and for every facet in one sweep of the
-face table when :mod:`shortlinks.partitions` classifies the complex.
+cliques of its triangle-linked vertex pairs, by :func:`_clique_parts`.
 """
 
 from __future__ import annotations

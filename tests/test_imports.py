@@ -88,3 +88,15 @@ def test_only_simplicial_reads_the_complex_caches(path):
     found = [f"{node.attr}:{node.lineno}" for node in ast.walk(parse(path))
              if isinstance(node, ast.Attribute) and node.attr in slots]
     assert found == []
+
+
+def test_partitions_reads_simplicial_through_public_names():
+    # the face table's mask layout belongs to simplicial; classify reads
+    # only a complex's vertices, facets, dim and facet count
+    tree = parse(SRC / "partitions.py")
+    private = [f"{alias.name}:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "simplicial"
+               for alias in node.names if alias.name.startswith("_")]
+    private += [f"{node.attr}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")]
+    assert private == []

@@ -289,10 +289,19 @@ class TestClassify:
         assert classify(K).sizes == Partition.from_spec(spec).sizes
         assert facets == [min(K.facets, key=sorted)]
 
-    def test_sweep_reads_links_nothing_has_read_yet(self):
-        for m in range(2, 9):
+    def test_join_blocks_are_the_parts_with_their_merged_vertex(self):
+        # build_kp numbers the vertex of the j-th part m + j
+        for m in range(2, 10):
             for p in enumerate_partitions(m):
-                assert partitions._failing_facets(build_kp(p), p.sizes) == set()
+                assert partitions._join_blocks(build_kp(p)) == {
+                    frozenset(part) | {m + j} for j, part in enumerate(p.parts, start=1)}
+
+    def test_join_blocks_of_the_product_dual(self):
+        for m in range(2, 10):
+            for p in enumerate_partitions(m):
+                bounds = list(itertools.accumulate((s + 1 for s in p.sizes), initial=1))
+                assert partitions._join_blocks(product_dual(p)) == {
+                    frozenset(range(a, b)) for a, b in zip(bounds, bounds[1:])}
 
     def test_lemma_same_partition_on_every_facet(self):
         for m in range(2, 7):

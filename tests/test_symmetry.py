@@ -402,7 +402,7 @@ class TestSignatures:
     def test_grid_chain_runs_few_searches(self, searches):
         chain = _bijections._stabilizer_chain(grid(5, 5).edges)
         assert math.prod(len(level) for _, level, _ in chain) == 8
-        assert 0 < len(searches) <= 100
+        assert 0 < len(searches) <= 3
 
     def test_simplex_boundary_chain_runs_one_search_per_level(self, searches):
         # Aut is S_8: each level needs one element the deeper ones lack
@@ -412,7 +412,19 @@ class TestSignatures:
 
     def test_cross_polytope_chain_skips_reached_images(self, searches):
         _bijections._stabilizer_chain(build_kp(Partition.from_spec("1|2|3|4")).facets)
-        assert 0 < len(searches) <= 16
+        assert 0 < len(searches) <= 4
+
+    def test_long_cycle_chain_skips_images_the_prefix_rules_out(self, searches):
+        # with b_0..b_{d-1} fixed, a w whose co-family counts with them
+        # differ from b_d's is rejected before any search
+        chain = _bijections._stabilizer_chain(cycle_graph(200).edges)
+        assert math.prod(len(level) for _, level, _ in chain) == 400
+        assert 0 < len(searches) <= 2
+
+    def test_hypercube_chain_runs_few_searches(self, searches):
+        chain = _bijections._stabilizer_chain(hypercube_graph(4).edges)
+        assert math.prod(len(level) for _, level, _ in chain) == 384
+        assert 0 < len(searches) <= 4
 
 
 def _edges(G) -> list:
