@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import add, itemgetter
 
@@ -63,11 +64,13 @@ class Graph:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple(sorted(eset)))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(verts)})
-        adj = {v: set() for v in verts}
+        adj = defaultdict(set)
         for u, v in eset:
             adj[u].add(v)
             adj[v].add(u)
-        object.__setattr__(self, "_adj", {v: frozenset(nb) for v, nb in adj.items()})
+        isolated = frozenset()  # shared by every vertex without an edge
+        object.__setattr__(self, "_adj", {
+            v: frozenset(adj[v]) if v in adj else isolated for v in verts})
         object.__setattr__(self, "_rows", [None] * len(verts))
         object.__setattr__(self, "_chain", None)
 
@@ -469,26 +472,16 @@ class CutDecomposition:
 def _cut_mover(images, n: int):
     """The action of a vertex permutation on cuts as bitmasks with bit 0 clear.
 
-    The mask is mapped one byte at a time through tables of 2^min(8, n - lo)
-    entries (the image of each subset of vertices lo..lo+7), then replaced
-    by its complement if the image side holds vertex 0.
+    One list holds the image of every subset of the n vertices, built by
+    doubling over the vertices, with each image that holds vertex 0
+    replaced by its complement; the mover is that list's ``__getitem__``.
     """
-    tables = []
-    for lo in range(0, n, 8):
-        table = [0]
-        for b in range(lo, min(lo + 8, n)):
-            bit = 1 << images[b]
-            table += [t | bit for t in table]
-        tables.append((lo, table))
+    table = [0]
+    for b in range(n):
+        bit = 1 << images[b]
+        table += [t | bit for t in table]
     full = (1 << n) - 1
-
-    def move(S: int) -> int:
-        T = 0
-        for lo, table in tables:
-            T |= table[S >> lo & 255]
-        return T ^ full if T & 1 else T
-
-    return move
+    return [t ^ full if t & 1 else t for t in table].__getitem__
 
 
 def cut_cone_decompose(G: Graph):
@@ -501,16 +494,20 @@ def cut_cone_decompose(G: Graph):
     of its delta_S) and one row per orbit of vertex pairs (the equations
     of one orbit coincide).  Generators of Aut(G) come from the stabilizer
     chain of the edges as 2-sets; cuts are bitmasks of their side without
-    the base vertex, mapped through each generator by per-byte lookup
-    tables.  Every cut of an orbit gets that orbit's weight, and the
-    decomposition is audited over all pairs without using the group.
+    the base vertex, mapped through each generator by one list of the
+    images of all 2^n vertex subsets.  Every cut of an orbit gets that
+    orbit's weight, and the decomposition is audited over all pairs
+    without using the group.
 
     Returns the decomposition, or None when the metric is provably outside
     the cut cone (hence not L1-embeddable, hence not hypercube-embeddable
     at any scale).  The decomposition is Aut-invariant, so it may differ
     from a one-column-per-cut solution, and :func:`embedding_from_cuts`
-    may give it a different scale or dimension.
+    may give it a different scale or dimension.  A disconnected graph
+    raises ValueError before the vertex guard is read.
     """
+    if not G.is_connected():
+        raise ValueError(_DISCONNECTED)
     n = G.num_vertices
     if n > CUT_CONE_VERTEX_GUARD:
         raise GuardExceeded(
@@ -603,11 +600,15 @@ def find_scaled_embedding(G: Graph, scale: int, dim: int):
     Exhaustive backtracking over vertex addresses, vertices in decreasing
     degree order.  Returns an address dict, audited against scale times the
     metric, or None when no embedding exists at exactly these parameters.
+    A disconnected graph raises ValueError after the scale and dim checks,
+    before the guards are read.
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")
     if dim < 0:
         raise ValueError("dim must be a non-negative integer")
+    if not G.is_connected():
+        raise ValueError(_DISCONNECTED)
     if G.num_vertices > EMBED_VERTEX_GUARD:
         raise GuardExceeded(
             f"embedding search is limited to {EMBED_VERTEX_GUARD} vertices, "

@@ -18,8 +18,8 @@ applications: on the vertex set the orbits are merged as blocks, a
 permutation that keeps every block in place costs one comparison, and
 the merging stops at the first single block.
 The reflection group Cox(K) attached to a partition is realized on a
-small permutation domain by transpositions, and its order is computed by
-the Schreier–Sims algorithm from those generators alone, so the
+small permutation domain by transpositions, and its order is read from
+Knuth's sift table, filled from those generators alone, so the
 closed-form orders elsewhere in the package can be checked against
 something that does not share their algebra.
 """
@@ -262,7 +262,7 @@ def coxeter_order_bruteforce(p: Partition) -> int:
 
     Each generator g_i (i in part P_j) acts as the transposition (i, aux_j)
     on P_j plus one auxiliary point per part; the order of the group they
-    generate is computed by Schreier–Sims from these transpositions alone.
+    generate is read from Knuth's sift table, filled from them alone.
     Must equal the product of (|P_i|+1)!.
     """
     points = sorted(p.ground_set)

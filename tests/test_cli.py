@@ -432,11 +432,20 @@ class TestDisconnectedInput:
         *lines, peak_kib = proc.stdout.splitlines()
         report = report_lines("\n".join(lines))
         assert [report[key] for key in EMBEDDABILITY_KEYS] == [
-            DISCONNECTED, DISCONNECTED, "skipped (vertex guard)",
+            DISCONNECTED, DISCONNECTED, DISCONNECTED,
             "skipped (partial-cube recognition needs a connected graph)"]
         if argv[0] == "analyze":
             assert report["embeddable by zones"] == DISCONNECTED
         assert int(peak_kib) < 40 * 1024
+
+    def test_embed_past_the_vertex_guard_is_reported_disconnected(self, capsys,
+                                                                 tmp_path):
+        f = tmp_path / "nine.txt"
+        f.write_text("graph 9\n1 2\n2 3\n1 3\n4 5\n")
+        code, out, err = run_cli(capsys, "embed", str(f), "--graph",
+                                 "--scale", "1", "--dim", "4")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == f"embedding (scale 1, dim 4): {DISCONNECTED}"
 
     def test_embed_two_triangles(self, capsys, tmp_path):
         f = tmp_path / "two_triangles.txt"

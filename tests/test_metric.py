@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -106,6 +107,16 @@ class TestGraphBasics:
         C = cycle_graph(6)
         assert C._distance_rows() == [[min(abs(i - j), 6 - abs(i - j))
                                        for j in range(6)] for i in range(6)]
+
+    def test_isolated_header_vertices_share_one_adjacency_set(self):
+        # one empty frozenset per isolated vertex would peak near 70 MB
+        tracemalloc.start()
+        try:
+            assert not parse_graph("graph 100000\n1 2\n").is_connected()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -441,6 +452,22 @@ class TestCutCone:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             cut_cone_decompose(complete_graph(14))
+
+    def test_disconnected_graph_past_the_guard_is_reported_disconnected(self):
+        G = Graph(range(14), [(0, 1), (1, 2), (3, 4)])
+        with pytest.raises(ValueError, match="disconnected"):
+            cut_cone_decompose(G)
+
+    def test_cut_mover_maps_each_cut_to_its_image_side_without_vertex_0(self):
+        rng = random.Random(25)
+        for n in range(2, 14):  # up to the cut-cone guard
+            full = (1 << n) - 1
+            for _ in range(3):
+                images = rng.sample(range(n), n)
+                move = metric._cut_mover(images, n)
+                for S in range(0, 1 << n, 2):
+                    T = sum(1 << images[b] for b in range(n) if S >> b & 1)
+                    assert move(S) == (T ^ full if T & 1 else T), (images, S)
 
     def test_single_vertex_has_no_cuts(self):
         dec = cut_cone_decompose(Graph([7], []))
@@ -894,6 +921,18 @@ class TestScaledEmbedding:
             find_scaled_embedding(big, 1, -1)
         with pytest.raises(ValueError, match="dim must be a non-negative integer"):
             find_scaled_embedding(complete_graph(1), 1, -1)
+
+    def test_disconnected_graph_is_reported_before_the_guards(self):
+        nine = Graph(range(9), [(0, 1), (1, 2), (3, 4)])  # past the vertex guard
+        with pytest.raises(ValueError, match="disconnected"):
+            find_scaled_embedding(nine, 1, 4)
+        six = Graph(range(6), [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="disconnected"):
+            find_scaled_embedding(six, 1, 13)  # past the dimension guard
+        with pytest.raises(ValueError, match="scale must be a positive integer"):
+            find_scaled_embedding(nine, 0, 4)
+        with pytest.raises(ValueError, match="dim must be a non-negative integer"):
+            find_scaled_embedding(six, 1, -1)
 
     def test_guards(self):
         with pytest.raises(GuardExceeded):

@@ -777,6 +777,41 @@ class TestSchreierSims:
         assert permutation_group_order([a, b, (0, 1, 2, 3)], 4) == 4
         assert permutation_group_order([], 5) == 1
 
+    def test_known_orders(self):
+        # the alternating group A_n from the 3-cycles (0 1 k)
+        for n in range(3, 10):
+            gens = []
+            for k in range(2, n):
+                images = list(range(n))
+                images[0], images[1], images[k] = 1, k, 0
+                gens.append(tuple(images))
+            assert permutation_group_order(gens, n) == math.factorial(n) // 2
+        # signed permutations of k pairs {2i, 2i + 1}: a sign flip, a
+        # rotation of the pairs and a swap of the first two
+        for k in range(1, 7):
+            n = 2 * k
+            flip = (1, 0) + tuple(range(2, n))
+            rotation = tuple((x + 2) % n for x in range(n))
+            swap = tuple((2, 3, 0, 1)[x] if x < 4 else x for x in range(n))
+            gens = [flip, rotation, swap] if k > 1 else [flip]
+            assert permutation_group_order(gens, n) == 2 ** k * math.factorial(k)
+        # the dihedral group D_n on n points
+        for n in range(3, 41):
+            rotation = tuple(range(1, n)) + (0,)
+            reflection = tuple(-x % n for x in range(n))
+            assert permutation_group_order([rotation, reflection], n) == 2 * n
+        # one cycle per disjoint block: the product of the lengths, not the lcm
+        lengths = [2, 3, 4, 6]
+        n, gens = sum(lengths), []
+        for start, length in zip(itertools.accumulate([0] + lengths), lengths):
+            images = list(range(n))
+            for i in range(length):
+                images[start + i] = start + (i + 1) % length
+            gens.append(tuple(images))
+        assert permutation_group_order(gens, n) == 144
+        # an orbit longer than Python's default recursion limit
+        assert permutation_group_order([tuple(range(1, 1200)) + (0,)], 1200) == 1200
+
 
 class TestGroupRelations:
     def test_cox_divides_aut_and_equality_iff_distinct_sizes(self):
