@@ -14,6 +14,7 @@ cliques of its triangle-linked vertex pairs, by :func:`_clique_parts`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -49,7 +50,9 @@ class SimplicialComplex:
     boundary builds nothing more), the edges completing each (n-2)-face
     (:meth:`_face_table`, the only face index) and each link's cycle
     lengths.  Cycles are decoded only for :func:`link_of_face`, for links
-    of 6 or more edges and for links of several cycles.  The stabilizer
+    of 6 or more edges and for links of several cycles.  On at most 16
+    vertices :func:`euler_characteristic` reads neither table; its walk
+    starts from them only above 16 vertices.  The stabilizer
     chain of Aut(K) is cached in ``_chain``, which
     :mod:`shortlinks.symmetry` fills on first use.
     """
@@ -291,15 +294,50 @@ def skeleton(K: SimplicialComplex) -> Graph:
     return Graph(K.vertices, edges)
 
 
+_BITSET_VERTICES = 16  # a bitset with one bit per vertex mask: 8 KB at 16
+
+
+@functools.cache
+def _subset_patterns(n: int) -> tuple:
+    """Bitsets over the vertex masks 0..2**n-1: for each vertex bit i the
+    masks that contain it, and the masks of odd popcount (Thue-Morse)."""
+    contains, odd = [], 0
+    for i in range(n):
+        h = 1 << i
+        p, w = ((1 << h) - 1) << h, 2 * h  # the masks below 2h that hold bit i
+        while w < 1 << n:
+            p, w = p | p << w, 2 * w
+        contains.append(p)
+        odd ^= p  # a mask's parity is the XOR of its bits
+    return tuple(contains), odd
+
+
 def euler_characteristic(K: SimplicialComplex) -> int:
     """Alternating sum of face counts over all dimensions.
 
-    Faces are vertex bitmasks; the (k-1)-faces are the k-faces with one
-    set bit cleared, so each dimension is built from the one above it,
-    from the face table's (n-2)-faces down to the edges.
+    On at most 16 vertices the faces are the down-closure of the facets
+    on a bitset indexed by vertex masks: one AND, shift and OR per vertex
+    moves every face holding that vertex to the face without it (the OR
+    zeta transform over the subset lattice), and the odd-popcount faces
+    count positively.  The bitset costs 2**n bits however few faces there
+    are, so above 16 vertices a walk whose cost follows the faces builds
+    each dimension from the one above it: the (k-1)-faces are the k-faces
+    with one set bit cleared, from the face table's (n-2)-faces down to
+    the edges.
     """
     if K.dim == 1:
         return len(K.vertices) - K.num_facets
+    n = len(K.vertices)
+    if n <= _BITSET_VERTICES:
+        contains, odd = _subset_patterns(n)
+        bit, buf = K._bit, bytearray(1 << (n - 3))  # n >= 3 as dim >= 2
+        for f in K.facets:
+            mask = sum(map(bit.__getitem__, f))
+            buf[mask >> 3] |= 1 << (mask & 7)
+        faces = int.from_bytes(buf, "little")
+        for i, p in enumerate(contains):
+            faces |= (faces & p) >> (1 << i)
+        return 2 * (faces & odd).bit_count() - faces.bit_count() + 1  # mask 0 is no face
     k, level = K.dim - 2, K._face_table().keys()
     chi = (-1) ** K.dim * (K.num_facets - len(K._ridge_table()))
     while k:
@@ -313,7 +351,7 @@ def euler_characteristic(K: SimplicialComplex) -> int:
                 rest ^= low
         level = lower
         k -= 1
-    return chi + len(K.vertices)
+    return chi + n
 
 
 class Partition:

@@ -628,6 +628,35 @@ class TestSkeleton:
         assert non_edges == [(2, 5)]
 
 
+def random_pure(seed, n, dim, extra) -> SimplicialComplex:
+    """A seeded pure ``dim``-complex on exactly n vertices: one facet through
+    each vertex, then ``extra`` random facets, relabelled from 1..3n."""
+    rng = random.Random(seed)
+    facets = [[v, *rng.sample([u for u in range(1, n + 1) if u != v], dim)]
+              for v in range(1, n + 1)]
+    facets += (rng.sample(range(1, n + 1), dim + 1) for _ in range(extra))
+    return relabelled(SimplicialComplex(dim, facets), seed)
+
+
+def cone(K) -> SimplicialComplex:
+    """The cone over ``K`` (its vertices moved up by one) with apex 1, the
+    lowest vertex."""
+    return SimplicialComplex(K.dim + 1, [[1, *(v + 1 for v in f)] for f in K.facets])
+
+
+# on both sides of the 16-vertex switch between the bitset and the level walk
+EULER_SWITCH_CASES = [
+    *(relabelled(build_kp(Partition.from_spec(spec)), spec) for spec in
+      ("1,2|3|4|5|6|7|8", "1|2|3|4|5|6|7|8", "1,2|3|4|5|6|7|8|9",
+       "1|2|3|4|5|6|7|8|9")),
+    *(random_pure(f"{n} {dim} {extra}", n, dim, extra) for n in (15, 16, 17, 18)
+      for dim in range(2, 6) for extra in (0, 120)),
+    *(cone(relabelled(build_kp(Partition.from_spec(spec)), spec))
+      for spec in ("1|2|3", "1|2|3|4|5|6|7", "1,2|3|4|5|6|7|8")),
+    SimplicialComplex(1, [*cycles(9, 10).facets, [1, 12]]),  # 19 vertices
+]
+
+
 class TestEuler:
     def test_octahedron(self):
         assert euler_characteristic(octahedron()) == 2
@@ -647,6 +676,7 @@ class TestEuler:
           for p in enumerate_partitions(m)),
         *OPEN_CASES,  # a ridge in three facets among them
         *CLOSED_CASES[-3:],  # unions of dim-1 cycles
+        *EULER_SWITCH_CASES,
     ])
     def test_matches_alternating_face_counts(self, K, tables):
         K = SimplicialComplex(K.dim, K.facets)  # nothing cached yet
@@ -655,6 +685,17 @@ class TestEuler:
         expected = sum((-1) ** k * len(faces_of_dim(K, k))
                        for k in range(K.dim + 1))
         assert euler_characteristic(K) == expected
+
+    @pytest.mark.parametrize("K", [
+        KP["1|2|3|4|5|6|7|8"],  # 16 vertices
+        SimplicialComplex(7, sorted(KP["1|2|3|4|5|6|7|8"].facets, key=sorted)[1:]),
+        random_pure("dense", 16, 5, 120),
+    ])
+    def test_bitset_count_builds_no_link_table(self, K):
+        K = SimplicialComplex(K.dim, K.facets)  # nothing cached yet
+        assert len(K.vertices) <= 16
+        euler_characteristic(K)
+        assert K._faces is None and K._ridges is None
 
 
 class TestCharacteristicPartition:
